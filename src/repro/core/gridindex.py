@@ -24,7 +24,7 @@ cell contains at least one point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -87,6 +87,10 @@ class GridIndex:
         ``(|G|, n_dims)`` n-dimensional coordinates of each non-empty cell.
     masks:
         Per-dimension sorted arrays of non-empty coordinates (``M_j``).
+    b_ordered_points:
+        ``points[A]``, the points in ``A``-position order (so each cell's
+        points are one contiguous block of rows); built on first use and
+        cached.
     """
 
     points: np.ndarray
@@ -103,6 +107,8 @@ class GridIndex:
     cell_counts: np.ndarray
     cell_coords: np.ndarray
     masks: List[np.ndarray] = field(default_factory=list)
+    _b_ordered_points: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -174,6 +180,18 @@ class GridIndex:
     def total_cells(self) -> int:
         """Total cell count of the *full* grid (including empty cells)."""
         return lin.total_cells(self.num_cells)
+
+    @property
+    def b_ordered_points(self) -> np.ndarray:
+        """The points gathered into ``A`` order, built once per index.
+
+        Row ``p`` is ``points[A[p]]``.  The kernels gather candidate
+        coordinates from it by position.  It is a cache of data the index
+        already holds, so :meth:`memory_footprint` leaves it out.
+        """
+        if self._b_ordered_points is None:
+            self._b_ordered_points = self.points[self.A]
+        return self._b_ordered_points
 
     # ---------------------------------------------------------------- lookups
     def lookup_cell(self, linear_id: int) -> int:

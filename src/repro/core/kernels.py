@@ -458,11 +458,17 @@ def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
     Returns the number of distance evaluations performed.  When ``mirror`` is
     true both ordered pairs are emitted for every match (UNICOMP non-home
     offsets).  With ``native_kernel`` the expand/filter step runs as a
-    compiled pair kernel emitting into preallocated buffers instead of the
-    NumPy ragged expansion.
+    compiled pair kernel emitting into preallocated buffers.
+
+    The NumPy path works in *position space*: every cell is one contiguous
+    range of positions into ``A``, so each chunk's cell pairs expand into
+    (source position, target position) pairs with a division-free ragged
+    arange, coordinates are gathered from the index's B-ordered copy of the
+    points, and only the pairs within ε are mapped to point ids through
+    ``A``.  The pairs, their order and the distance predicate are those of
+    the id-space expansion.
     """
     eps2 = eps * eps
-    points = index.points
     # Gather the CSR ranges of the cell pairs once; the chunk loop below
     # slices these views instead of re-indexing cell_counts/cell_starts for
     # every chunk.
@@ -475,6 +481,7 @@ def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
     if total == 0:
         return 0
     n_dist = 0
+    points_b = index.b_ordered_points if native_kernel is None else None
     # Split the cell-pair list into chunks whose expanded size stays bounded.
     boundaries = _chunk_boundaries(pair_counts, max_candidate_pairs)
     for lo, hi in boundaries:
@@ -485,7 +492,7 @@ def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
             capacity = chunk_total * (2 if mirror else 1)
             keys = np.empty(capacity, dtype=np.int64)
             values = np.empty(capacity, dtype=np.int64)
-            n = native_kernel(points, points, index.A, index.A,
+            n = native_kernel(index.points, index.points, index.A, index.A,
                               starts_s[lo:hi], sizes_s[lo:hi],
                               starts_t[lo:hi], sizes_t[lo:hi],
                               eps2, keys, values, mirror)
@@ -494,15 +501,16 @@ def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
             # fragments, not views pinning full-capacity allocations.
             sink.emit(keys[:n].copy(), values[:n].copy())
             continue
-        q_idx, c_idx = _expand_cell_pairs(index.A,
-                                          starts_s[lo:hi], sizes_s[lo:hi],
-                                          starts_t[lo:hi], sizes_t[lo:hi])
-        diff = points[q_idx] - points[c_idx]
+        q_pos, c_pos = _expand_cell_pair_positions(starts_s[lo:hi], sizes_s[lo:hi],
+                                                   starts_t[lo:hi], sizes_t[lo:hi])
+        # ``take`` gathers whole rows far faster than fancy indexing does.
+        diff = np.take(points_b, q_pos, axis=0)
+        diff -= np.take(points_b, c_pos, axis=0)
         dist2 = np.einsum("ij,ij->i", diff, diff)
         n_dist += int(dist2.shape[0])
-        within = dist2 <= eps2
-        q_sel = q_idx[within]
-        c_sel = c_idx[within]
+        within = np.flatnonzero(dist2 <= eps2)
+        q_sel = index.A.take(q_pos.take(within))
+        c_sel = index.A.take(c_pos.take(within))
         sink.emit(q_sel, c_sel)
         if mirror:
             sink.emit(c_sel, q_sel)
@@ -510,48 +518,63 @@ def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
 
 
 def _chunk_boundaries(pair_counts: np.ndarray, max_candidate_pairs: int) -> List[tuple[int, int]]:
-    """Split a cell-pair list into ranges whose total expansion is bounded."""
+    """Split a cell-pair list into ranges whose total expansion is bounded.
+
+    Greedy: a chunk grows while its running total stays within
+    ``max_candidate_pairs``; a pair that would push a non-empty running total
+    over the bound starts the next chunk, so a single oversize pair forms a
+    chunk of its own.  Each chunk end is one ``searchsorted`` on the prefix
+    sums.
+    """
+    n = int(pair_counts.shape[0])
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(pair_counts, out=prefix[1:])
+    # A bound below zero cuts like zero; one above the total never cuts.
+    limit = min(max(int(max_candidate_pairs), 0), int(prefix[-1]))
     boundaries: List[tuple[int, int]] = []
     lo = 0
-    running = 0
-    n = int(pair_counts.shape[0])
-    for i in range(n):
-        count = int(pair_counts[i])
-        if running and running + count > max_candidate_pairs:
-            boundaries.append((lo, i))
-            lo = i
-            running = 0
-        running += count
-    boundaries.append((lo, n))
-    return boundaries
+    while True:
+        # First prefix index whose running total from ``lo`` exceeds the bound.
+        over = int(np.searchsorted(prefix, prefix[lo] + limit, side="right"))
+        if over > n:
+            boundaries.append((lo, n))
+            return boundaries
+        hi = over - 1
+        if prefix[hi] == prefix[lo]:
+            # Everything before ``hi`` is empty: the oversize pair at ``hi``
+            # closes the chunk on its own.
+            hi += 1
+        if hi >= n:
+            boundaries.append((lo, n))
+            return boundaries
+        boundaries.append((lo, hi))
+        lo = hi
 
 
-def _expand_cell_pairs(A: np.ndarray,
-                       starts_s: np.ndarray, sizes_s: np.ndarray,
-                       starts_t: np.ndarray, sizes_t: np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand (source cell, target cell) pairs into all candidate point pairs.
+def _expand_cell_pair_positions(starts_s: np.ndarray, sizes_s: np.ndarray,
+                                starts_t: np.ndarray, sizes_t: np.ndarray,
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """Expand (source cell, target cell) pairs into candidate position pairs.
 
-    Takes the cell pairs' already-gathered CSR ranges (the caller hoists the
-    ``cell_counts``/``cell_starts`` gathers out of its chunk loop) and uses
-    the standard ragged-expansion arithmetic: for the k-th cell pair with
-    ``s_k`` source points and ``t_k`` target points, ``s_k * t_k`` flat local
-    indices are generated and decomposed into (row, column) offsets into the
-    point lookup array ``A``.
+    Takes the cell pairs' CSR ranges (the caller hoists the
+    ``cell_counts``/``cell_starts`` gathers out of its chunk loop) and
+    returns positions into ``A``, in the id-space expansion's order: for the
+    k-th cell pair, each source position ``starts_s[k] + i`` is paired with
+    the target positions ``starts_t[k] .. starts_t[k] + sizes_t[k] - 1`` in
+    turn.  One "row" per source point is built first; the rows then expand
+    with ``repeat`` and a ragged arange, with no integer division.
     """
-    pair_counts = sizes_s * sizes_t
-    total = int(pair_counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pair_offsets = np.zeros(pair_counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(pair_counts, out=pair_offsets[1:])
-    pair_id = np.repeat(np.arange(pair_counts.shape[0], dtype=np.int64), pair_counts)
-    local = np.arange(total, dtype=np.int64) - pair_offsets[pair_id]
-    st = sizes_t[pair_id]
-    i_local = local // st
-    j_local = local - i_local * st
-    q_idx = A[starts_s[pair_id] + i_local]
-    c_idx = A[starts_t[pair_id] + j_local]
-    return q_idx, c_idx
+    row_q = _ragged_arange(starts_s, sizes_s)
+    row_len = np.repeat(sizes_t, sizes_s)
+    q_pos = np.repeat(row_q, row_len)
+    c_pos = _ragged_arange(np.repeat(starts_t, sizes_s), row_len)
+    return q_pos, c_pos
 
 
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[k], starts[k] + lengths[k])`` over ``k``."""
+    ends = np.cumsum(lengths)
+    out = np.arange(int(ends[-1]) if ends.shape[0] else 0, dtype=np.int64)
+    # Shift each run from its global offset ``ends[k] - lengths[k]`` to its start.
+    out += np.repeat(starts - (ends - lengths), lengths)
+    return out

@@ -10,11 +10,13 @@ CSR-style neighbor-list view that downstream algorithms (e.g. DBSCAN in
 The CSR-native pipeline works the other way around: kernels emit their pair
 fragments into a :class:`PairFragments` sink, and the sink finalizes either
 into a :class:`NeighborTable` directly (per-point counts via ``bincount``,
-prefix-sum offsets, one stable radix placement of the neighbor ids — no
-intermediate flat pair array is re-sorted) or into a :class:`ResultSet`
-(plain concatenation, the legacy pair-list view).  ``ResultSet`` stays the
-thin pair-list view for API compatibility and can be derived from a
-``NeighborTable`` without copying the neighbor ids.
+prefix-sum offsets, and one sort of the combined ``key * span + value``
+array, from which the neighbor ids are recovered with ``% span``) or into a
+:class:`ResultSet` (plain concatenation, the legacy pair-list view).
+``ResultSet.sort`` uses the same combined-key sort, so the module has one
+sort path.  ``ResultSet`` stays the thin pair-list view for API
+compatibility and can be derived from a ``NeighborTable`` without copying
+the neighbor ids.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ class ResultSet:
     # ---------------------------------------------------------------- methods
     def sort(self) -> "ResultSet":
         """Return a copy sorted by (key, value) — the post-kernel sort of the paper."""
-        order = np.lexsort((self.values, self.keys))
-        return ResultSet(keys=self.keys[order], values=self.values[order],
+        combined, span = _sorted_combined_keys(self.keys, self.values)
+        keys, values = np.divmod(combined, span)
+        return ResultSet(keys=keys, values=values,
                          num_points=self.num_points, _sorted=True)
 
     def canonical_pairs(self) -> np.ndarray:
@@ -156,13 +159,8 @@ class ResultSet:
                          num_points=self.num_points)
 
     def to_neighbor_table(self) -> "NeighborTable":
-        """Convert to a CSR neighbor table (sorts the pairs first)."""
-        sorted_self = self.sort()
-        counts = sorted_self.neighbor_counts()
-        offsets = np.zeros(self.num_points + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return NeighborTable(offsets=offsets, neighbors=sorted_self.values.copy(),
-                             num_points=self.num_points)
+        """Convert to a CSR neighbor table (see :meth:`NeighborTable.from_pairs`)."""
+        return NeighborTable.from_pairs(self.keys, self.values, self.num_points)
 
 
 @dataclass
@@ -183,21 +181,26 @@ class NeighborTable:
         """Build the CSR table directly from (possibly unordered) pair arrays.
 
         This is the CSR-native finalization: per-point counts come from one
-        ``bincount``, the offsets are their prefix sum, and the neighbor ids
-        are placed with a single stable (radix) key sort — bit-identical to
-        ``ResultSet.sort().to_neighbor_table()`` on the same pairs, without
-        materializing the sorted pair list.
+        ``bincount`` and the offsets are their prefix sum.  The neighbor ids
+        come from one in-place sort of the combined key
+        ``key * span + value`` (``span = max(value) + 1``) followed by an
+        in-place ``% span``: the sorted combined keys run in (key, value)
+        order, so the remainders are each row's neighbors sorted by id.
+        The result is what a lexicographic (key, value) sort of the pairs
+        gives, without an argsort or a gather.  ``span`` comes from the
+        values, never from ``num_points``: bipartite and probe results carry
+        values that index the other dataset.
+
+        Raises ``ValueError`` when an id is negative or the combined key
+        would overflow int64.
         """
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
+        neighbors, span = _sorted_combined_keys(keys, values)
+        np.remainder(neighbors, span, out=neighbors)
         counts = np.bincount(keys, minlength=num_points).astype(np.int64)
         offsets = np.zeros(num_points + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        if keys.shape[0]:
-            order = np.lexsort((values, keys))
-            neighbors = values[order]
-        else:
-            neighbors = np.empty(0, dtype=np.int64)
         return cls(offsets=offsets, neighbors=neighbors, num_points=int(num_points))
 
     def neighbors_of(self, i: int) -> np.ndarray:
@@ -238,6 +241,32 @@ class NeighborTable:
         if self.neighbors.size:
             assert self.neighbors.min() >= 0
             assert self.neighbors.max() < self.num_points
+
+
+def _sorted_combined_keys(keys: np.ndarray, values: np.ndarray,
+                          ) -> Tuple[np.ndarray, int]:
+    """Sort the pairs as one ``int64`` array ``key * span + value``.
+
+    Returns the sorted combined array (a new array) and ``span = max(value)
+    + 1``; ``combined // span`` and ``combined % span`` recover the keys and
+    values in (key, value) order.  Raises ``ValueError`` for negative ids or
+    when the largest combined key would not fit in int64.
+    """
+    if keys.shape[0] == 0:
+        return np.empty(0, dtype=np.int64), 1
+    key_min, key_max = int(keys.min()), int(keys.max())
+    value_min, value_max = int(values.min()), int(values.max())
+    if key_min < 0 or value_min < 0:
+        raise ValueError("pair ids must be non-negative")
+    span = value_max + 1
+    if key_max * span + value_max > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"combined pair key overflows int64 (max key {key_max}, "
+            f"value span {span})")
+    combined = np.multiply(keys, span, dtype=np.int64)
+    combined += values
+    combined.sort()
+    return combined, span
 
 
 class PairFragments:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.core.gridindex import GridIndex
 from repro.core import kernels as K
+from repro.core.neighbors import all_neighbor_offsets
 
 
 ALL_KERNELS = [
@@ -184,3 +186,145 @@ class TestKernelStats:
         assert ("cellwise", True) in K.KERNELS
         assert ("cellwise", False) in K.KERNELS
         assert ("pointwise", False) in K.KERNELS
+
+
+# --------------------------------------------------------------------------
+# Id-space emission, kept as the oracle for the position-space hot path.
+# --------------------------------------------------------------------------
+def loop_chunk_boundaries(pair_counts, max_candidate_pairs):
+    """The greedy chunking rule as a plain loop over the cell pairs."""
+    boundaries = []
+    lo = 0
+    running = 0
+    n = int(pair_counts.shape[0])
+    for i in range(n):
+        count = int(pair_counts[i])
+        if running and running + count > max_candidate_pairs:
+            boundaries.append((lo, i))
+            lo = i
+            running = 0
+        running += count
+    boundaries.append((lo, n))
+    return boundaries
+
+
+def id_space_expand(A, starts_s, sizes_s, starts_t, sizes_t):
+    """Expand cell pairs into point-id pairs by flat-index division."""
+    pair_counts = sizes_s * sizes_t
+    total = int(pair_counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    pair_offsets = np.zeros(pair_counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(pair_counts, out=pair_offsets[1:])
+    pair_id = np.repeat(np.arange(pair_counts.shape[0], dtype=np.int64), pair_counts)
+    local = np.arange(total, dtype=np.int64) - pair_offsets[pair_id]
+    st_ = sizes_t[pair_id]
+    i_local = local // st_
+    j_local = local - i_local * st_
+    return A[starts_s[pair_id] + i_local], A[starts_t[pair_id] + j_local]
+
+
+def id_space_emit(index, src, tgt, eps, max_candidate_pairs, sink, mirror,
+                  native_kernel=None):
+    """Drop-in for ``_emit_pairs_chunked`` that gathers through ``A`` ids."""
+    assert native_kernel is None
+    eps2 = eps * eps
+    points = index.points
+    sizes_s = index.cell_counts[src].astype(np.int64)
+    sizes_t = index.cell_counts[tgt].astype(np.int64)
+    starts_s = index.cell_starts[src].astype(np.int64)
+    starts_t = index.cell_starts[tgt].astype(np.int64)
+    pair_counts = sizes_s * sizes_t
+    n_dist = 0
+    for lo, hi in loop_chunk_boundaries(pair_counts, max_candidate_pairs):
+        q_idx, c_idx = id_space_expand(index.A, starts_s[lo:hi], sizes_s[lo:hi],
+                                       starts_t[lo:hi], sizes_t[lo:hi])
+        if q_idx.shape[0] == 0:
+            continue
+        diff = points[q_idx] - points[c_idx]
+        dist2 = np.einsum("ij,ij->i", diff, diff)
+        n_dist += int(dist2.shape[0])
+        within = dist2 <= eps2
+        sink.emit(q_idx[within], c_idx[within])
+        if mirror:
+            sink.emit(c_idx[within], q_idx[within])
+    return n_dist
+
+
+pair_count_lists = st.lists(
+    st.one_of(st.integers(0, 40), st.integers(41, 500)), min_size=0, max_size=60)
+
+
+class TestPositionSpaceEmission:
+    @given(counts=pair_count_lists, bound=st.integers(1, 120))
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_boundaries_match_greedy_loop(self, counts, bound):
+        arr = np.asarray(counts, dtype=np.int64)
+        assert K._chunk_boundaries(arr, bound) == loop_chunk_boundaries(arr, bound)
+
+    @pytest.mark.parametrize("counts,bound", [
+        ([3, 1, 4, 1, 5], 1),
+        ([2, 3, 1000, 2, 2], 10),
+        ([0, 0, 1000, 0, 4], 10),
+        ([5, 5, 5], 10 ** 12),
+        ([], 4),
+    ])
+    def test_chunk_boundaries_edge_cases(self, counts, bound):
+        arr = np.asarray(counts, dtype=np.int64)
+        assert K._chunk_boundaries(arr, bound) == loop_chunk_boundaries(arr, bound)
+
+    @pytest.mark.parametrize("dims", [2, 3, 5])
+    def test_position_expansion_matches_id_space(self, dims):
+        rng = np.random.default_rng(dims)
+        pts = rng.uniform(0.0, 6.0, size=(400, dims))
+        index = GridIndex.build(pts, 1.0)
+        cells = np.arange(index.num_nonempty_cells)
+        for offset in all_neighbor_offsets(dims, include_home=True)[:9]:
+            src, tgt, _ = K._resolve_offset_pairs(index, cells, offset)
+            ranges = (index.cell_starts[src], index.cell_counts[src],
+                      index.cell_starts[tgt], index.cell_counts[tgt])
+            q_pos, c_pos = K._expand_cell_pair_positions(*ranges)
+            q_ids, c_ids = id_space_expand(index.A, *ranges)
+            assert np.array_equal(index.A[q_pos], q_ids)
+            assert np.array_equal(index.A[c_pos], c_ids)
+
+    def test_b_ordered_points_cached_and_outside_footprint(self, index_2d):
+        footprint = index_2d.memory_footprint()
+        pts_b = index_2d.b_ordered_points
+        assert np.array_equal(pts_b, index_2d.points[index_2d.A])
+        assert index_2d.b_ordered_points is pts_b
+        assert index_2d.memory_footprint() == footprint
+
+    @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_emission_order_and_stats_unchanged(self, dims, unicomp, monkeypatch):
+        rng = np.random.default_rng(100 + dims)
+        pts = rng.uniform(0.0, 5.0, size=(500, dims))
+        eps = 0.45 * dims ** 0.5
+        kernel = K.selfjoin_unicomp_vectorized if unicomp \
+            else K.selfjoin_global_vectorized
+        index = GridIndex.build(pts, eps)
+        # A small chunk bound makes every offset span several chunks.
+        new = kernel(index, max_candidate_pairs=997)
+        monkeypatch.setattr(K, "_emit_pairs_chunked", id_space_emit)
+        old = kernel(GridIndex.build(pts, eps), max_candidate_pairs=997)
+        assert np.array_equal(new.result.keys, old.result.keys)
+        assert np.array_equal(new.result.values, old.result.values)
+        for counter in ("distance_calcs", "cells_checked", "result_pairs"):
+            assert getattr(new.stats, counter) == getattr(old.stats, counter)
+        assert new.stats.result_pairs > pts.shape[0]
+
+    @pytest.mark.parametrize("unicomp", [False, True])
+    def test_pairs_at_exactly_eps_are_kept(self, unicomp, monkeypatch):
+        # Integer lattice with ε = 1: every axis neighbour sits exactly on ε.
+        grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(9.0)), axis=-1)
+        pts = grid.reshape(-1, 2)
+        kernel = K.selfjoin_unicomp_vectorized if unicomp \
+            else K.selfjoin_global_vectorized
+        new = kernel(GridIndex.build(pts, 1.0), max_candidate_pairs=50)
+        monkeypatch.setattr(K, "_emit_pairs_chunked", id_space_emit)
+        old = kernel(GridIndex.build(pts, 1.0), max_candidate_pairs=50)
+        assert np.array_equal(new.result.keys, old.result.keys)
+        assert np.array_equal(new.result.values, old.result.values)
+        # Self-pairs plus the 2 * (11 * 9 + 12 * 8) directed axis pairs.
+        assert new.result.num_pairs == pts.shape[0] + 2 * (11 * 9 + 12 * 8)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.result import NeighborTable, ResultSet
+from repro.core.result import NeighborTable, PairFragments, ResultSet
 
 
 def make_result(pairs, n):
@@ -121,3 +121,103 @@ class TestNeighborTable:
                               neighbors=np.array([0, 1]), num_points=2)
         with pytest.raises(AssertionError):
             table.validate()
+
+
+def lexsort_table(keys, values, num_points):
+    """Reference CSR finalize: one ``lexsort`` over (key, value)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    order = np.lexsort((values, keys))
+    offsets = np.zeros(num_points + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=num_points), out=offsets[1:])
+    return NeighborTable(offsets=offsets, neighbors=values[order],
+                         num_points=num_points)
+
+
+def random_pairs(rng, num_rows, num_values, num_pairs):
+    keys = rng.integers(0, num_rows, size=num_pairs)
+    values = rng.integers(0, num_values, size=num_pairs)
+    return keys.astype(np.int64), values.astype(np.int64)
+
+
+class TestCombinedKeyFinalize:
+    def test_shuffled_multi_fragment_pairs(self):
+        rng = np.random.default_rng(7)
+        keys, values = random_pairs(rng, 50, 50, 2_000)
+        sink = PairFragments(50)
+        for part in np.array_split(rng.permutation(keys.shape[0]), 9):
+            sink.emit(keys[part], values[part])
+        table = sink.to_neighbor_table()
+        table.validate()
+        concat_keys, concat_values = sink.concatenated()
+        assert table.same_contents_as(
+            lexsort_table(concat_keys, concat_values, 50))
+
+    def test_duplicate_pairs_survive(self):
+        keys = np.array([1, 1, 0, 1, 0])
+        values = np.array([3, 3, 2, 0, 2])
+        table = NeighborTable.from_pairs(keys, values, 4)
+        assert table.same_contents_as(lexsort_table(keys, values, 4))
+        assert table.neighbors_of(1).tolist() == [0, 3, 3]
+
+    def test_bipartite_values_beyond_num_rows(self):
+        # Probe-side keys index 5 query rows; values index a 1000-point
+        # dataset, so the value span must not be taken from the row count.
+        rng = np.random.default_rng(11)
+        keys, values = random_pairs(rng, 5, 1_000, 400)
+        assert values.max() >= 5
+        table = NeighborTable.from_pairs(keys, values, 5)
+        assert table.same_contents_as(lexsort_table(keys, values, 5))
+
+    def test_empty_result(self):
+        empty = np.empty(0, dtype=np.int64)
+        table = NeighborTable.from_pairs(empty, empty, 3)
+        assert table.same_contents_as(lexsort_table(empty, empty, 3))
+        assert table.offsets.tolist() == [0, 0, 0, 0]
+        assert table.neighbors.dtype == np.int64
+        assert PairFragments(3).to_neighbor_table().same_contents_as(table)
+        assert ResultSet.empty(3).sort().num_pairs == 0
+
+    def test_include_self_false(self, uniform_2d, eps_2d):
+        from repro.engine import Query, run_query
+        result = run_query(Query.self_join(uniform_2d, eps_2d, include_self=False),
+                           backend="vectorized")
+        keys, values = result.pairs()
+        assert keys.shape[0] and not np.any(keys == values)
+        n = uniform_2d.shape[0]
+        assert result.neighbor_table.same_contents_as(lexsort_table(keys, values, n))
+
+    def test_sort_and_to_neighbor_table_share_the_finalize(self):
+        rng = np.random.default_rng(3)
+        keys, values = random_pairs(rng, 40, 60, 500)
+        r = ResultSet(keys=keys, values=values, num_points=40)
+        s = r.sort()
+        order = np.lexsort((values, keys))
+        assert np.array_equal(s.keys, keys[order])
+        assert np.array_equal(s.values, values[order])
+        assert r.to_neighbor_table().same_contents_as(lexsort_table(keys, values, 40))
+        # The round trip through the pair-list view is lossless.
+        table = r.to_neighbor_table()
+        assert table.to_result_set().to_neighbor_table().same_contents_as(table)
+
+    def test_overflow_guard_raises_value_error(self):
+        keys = np.array([0, 3], dtype=np.int64)
+        values = np.array([1, 2 ** 62], dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            NeighborTable.from_pairs(keys, values, 4)
+        with pytest.raises(ValueError, match="overflow"):
+            ResultSet(keys=keys, values=values, num_points=4).sort()
+
+    def test_largest_representable_key_is_accepted(self):
+        span = 2 ** 31
+        keys = np.array([(np.iinfo(np.int64).max - (span - 1)) // span], dtype=np.int64)
+        values = np.array([span - 1], dtype=np.int64)
+        combined_max = int(keys[0]) * span + int(values[0])
+        assert combined_max <= np.iinfo(np.int64).max
+        s = ResultSet(keys=keys, values=values, num_points=int(keys[0]) + 1).sort()
+        assert s.keys.tolist() == keys.tolist()
+        assert s.values.tolist() == values.tolist()
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError):
+            NeighborTable.from_pairs(np.array([0]), np.array([-1]), 2)
