@@ -55,11 +55,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.gridindex import GridIndex, SubsetIndex
+from repro.core.gridindex import GridIndex
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
 from repro.core.result import PairFragments
 from repro.data.store import SpatialStore
 from repro.engine.backends import get_backend
+from repro.parallel.sharded import probe_store_shard
 from repro.service import protocol
 from repro.utils.cancellation import (
     CancellationToken,
@@ -505,37 +506,18 @@ class WorkerServer:
     def _compute_stream(self, state: _AttachedDataset, header: dict):
         """Disk-streamed self-join of one contiguous directory range.
 
-        The per-shard body of ``ShardedBackend.run_selfjoin_streamed``
-        executed worker-side against the worker's *own* store mapping: reads
-        the owned cell range plus its ε-halo as a few contiguous slices,
-        probes the owned points against a shard-local
-        :class:`~repro.core.gridindex.SubsetIndex`, and returns pairs in
-        global (original) ids — so the parent's merge path needs no
+        Runs :func:`~repro.parallel.sharded.probe_store_shard` worker-side
+        against the worker's *own* store mapping; the pairs come back in
+        global (original) ids, so the parent's merge path needs no
         translation at all.
         """
         if state.store is None:
             raise ValueError("stream_shard requires a store-attached dataset "
                              f"({state.name!r} was shipped as arrays)")
-        store = state.store
-        eps = float(header["eps"])
-        lo, hi = int(header["lo"]), int(header["hi"])
-        max_candidate_pairs = int(header.get("max_candidate_pairs",
-                                             DEFAULT_MAX_CANDIDATE_PAIRS))
-        owned_pts, owned_ids = store.read_cell_range(lo, hi)
-        halo_pts, halo_ids = store.read_cell_positions(
-            store.halo_positions(lo, hi, store.halo_radius(eps)))
-        if halo_pts.shape[0]:
-            local_pts = np.concatenate([owned_pts, halo_pts])
-            local_ids = np.concatenate([owned_ids, halo_ids])
-        else:
-            local_pts, local_ids = owned_pts, owned_ids
-        sub = SubsetIndex.build(local_pts, local_ids, eps)
-        local_sink = PairFragments(owned_pts.shape[0])
-        stats = get_backend(state.inner).run_probe(
-            owned_pts, sub.index, eps, local_sink,
-            max_candidate_pairs=max_candidate_pairs)
-        keys, values = local_sink.concatenated()
-        return owned_ids[keys], sub.to_global(values), stats
+        return probe_store_shard(
+            state.store, int(header["lo"]), int(header["hi"]),
+            float(header["eps"]), get_backend(state.inner),
+            int(header.get("max_candidate_pairs", DEFAULT_MAX_CANDIDATE_PAIRS)))
 
 
 class WorkerThread:

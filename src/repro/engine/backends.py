@@ -55,10 +55,12 @@ import numpy as np
 
 from repro.core import linearize as lin
 from repro.core import nativekernels
-from repro.core.gridindex import GridIndex
+from repro.core.gridindex import GridIndex, _run_length_encode
 from repro.core.kernels import (
     DEFAULT_MAX_CANDIDATE_PAIRS,
     KernelStats,
+    _chunk_boundaries,
+    _expand_cell_pair_positions,
     selfjoin_global_cellwise,
     selfjoin_global_pointwise,
     selfjoin_tiered,
@@ -382,19 +384,11 @@ def available_backends() -> List[str]:
 # --------------------------------------------------------------------------
 # shared probe helpers (moved here from the bespoke loop in core/join.py)
 # --------------------------------------------------------------------------
-def _rle(sorted_ids: np.ndarray):
-    """Run-length encode a sorted id array (ids, starts, counts)."""
-    if sorted_ids.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    change = np.empty(sorted_ids.shape[0], dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=change[1:])
-    starts = np.flatnonzero(change).astype(np.int64)
-    counts = np.empty_like(starts)
-    counts[:-1] = np.diff(starts)
-    counts[-1] = sorted_ids.shape[0] - starts[-1]
-    return sorted_ids[starts], starts, counts
+#: Bound on the stacked (offset, query group) rows one fused probe block
+#: resolves.  Small probes resolve all 3^n offsets in one block; big shards
+#: take a few offsets per block, keeping each block's candidate chunks
+#: cache-sized (fusing every offset at once measured slower there).
+_PROBE_BLOCK_ROWS = 32_768
 
 
 def _probe_rows(queries: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
@@ -402,6 +396,22 @@ def _probe_rows(queries: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
     if rows is None:
         return np.arange(queries.shape[0], dtype=np.int64)
     return np.asarray(rows, dtype=np.int64)
+
+
+def _group_probe_points(probe_pts: np.ndarray, index: GridIndex):
+    """Group probe points by their cell in the index's grid.
+
+    Returns ``(order, starts, counts, group_coords)``: ``order`` sorts the
+    probe points by cell (stably), and group ``g`` is the run
+    ``order[starts[g]:starts[g] + counts[g]]`` of points in the cell with
+    coordinates ``group_coords[g]``.
+    """
+    coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
+                                     index.num_cells)
+    cell_ids = lin.linearize(coords, index.strides)
+    order = np.argsort(cell_ids, kind="stable")
+    unique_ids, starts, counts = _run_length_encode(cell_ids[order])
+    return order, starts, counts, lin.delinearize(unique_ids, index.num_cells)
 
 
 def _reject_cell_subset(backend: ExecutionBackend, cells) -> None:
@@ -419,15 +429,26 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
                       sink: PairFragments, rows: Optional[np.ndarray],
                       max_candidate_pairs: int,
                       native_kernel: Optional[Callable] = None) -> KernelStats:
-    """Offset-major bipartite probe (production path).
+    """Offset-fused, position-space bipartite probe (production path).
 
     The query points are grouped by their cell coordinates *in the index's
-    grid* so the adjacent-cell resolution is shared by co-located queries;
-    for each of the 3^n offsets, all (query group, index cell) pairs are
-    resolved with one vectorized binary search and their candidate point
-    pairs expanded and distance-filtered in bounded chunks.
-    ``native_kernel`` swaps the expand/filter step for a compiled pair
-    kernel from :mod:`repro.core.nativekernels`.
+    grid*, so co-located queries share the adjacent-cell resolution.  The
+    3^n offsets are resolved in blocks: a block stacks its (offset, query
+    group) rows offset-major and group-minor (at most
+    :data:`_PROBE_BLOCK_ROWS` of them) and resolves them all with one mask
+    filter and one :meth:`~repro.core.gridindex.GridIndex.lookup_cells`,
+    so a single query point visits its whole neighbourhood in one pass,
+    as one bounded search of Algorithm 1.
+
+    The found (query group, index cell) pairs expand in *position space*,
+    with the self-join's helpers: each group is a contiguous run of the
+    group-ordered probe points and each cell a contiguous run of ``A``, so
+    chunks (at most ``max_candidate_pairs`` candidates, except a single
+    oversize pair) expand with a division-free ragged arange.  Only the
+    pairs within ε are mapped back to query rows and point ids.  The
+    emitted pairs, their order and the :class:`KernelStats` counters are
+    those of a per-offset walk.  ``native_kernel`` swaps the expand/filter
+    step for a compiled pair kernel from :mod:`repro.core.nativekernels`.
     """
     stats = KernelStats()
     rows = _probe_rows(queries, rows)
@@ -435,22 +456,26 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
         return stats
     probe_pts = queries[rows]
     eps2 = eps * eps
+    order, starts, counts, group_coords = _group_probe_points(probe_pts, index)
+    num_groups = group_coords.shape[0]
+    # Group-ordered probe points and their query rows, so group ``g`` is
+    # positions ``starts[g] .. starts[g] + counts[g] - 1`` of both.
+    ordered_pts = probe_pts.take(order, axis=0)
+    row_of_pos = rows.take(order)
 
-    coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
-                                     index.num_cells)
-    cell_ids = lin.linearize(coords, index.strides)
-    order = np.argsort(cell_ids, kind="stable")
-    sorted_ids = cell_ids[order]
-    unique_ids, starts, counts = _rle(sorted_ids)
-    group_coords = lin.delinearize(unique_ids, index.num_cells)
-
-    before = sink.num_pairs
     offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
+    per_block = max(1, _PROBE_BLOCK_ROWS // num_groups)
+    # Group of each stacked row: offset-major, group-minor.
+    group_of_row = np.tile(np.arange(num_groups, dtype=np.int64),
+                           min(per_block, offsets.shape[0]))
+    before = sink.num_pairs
+    for b0 in range(0, offsets.shape[0], per_block):
         # Cancellation checkpoint: in high dimensionality the 3^n offsets
-        # dominate runtime, so a deadline stops between offsets.
+        # dominate runtime, so a deadline stops between offset blocks.
         check_cancelled()
-        neighbor = group_coords + offset[None, :]
+        block = offsets[b0:b0 + per_block]
+        neighbor = (block[:, None, :] + group_coords[None, :, :]).reshape(
+            -1, index.num_dims)
         inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]),
                         axis=1)
         for j, mask in enumerate(index.masks):
@@ -466,74 +491,45 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
         linear = lin.linearize(neighbor[candidates], index.strides)
         target = index.lookup_cells(linear)
         found = target >= 0
-        src_groups = candidates[found]
+        src_groups = group_of_row.take(candidates[found])
         tgt_cells = target[found]
         stats.nonempty_cells_visited += int(src_groups.shape[0])
         if src_groups.shape[0] == 0:
             continue
-        stats.distance_calcs += _emit_group_pairs(
-            probe_pts, rows, index, order, starts, counts, src_groups,
-            tgt_cells, eps2, max_candidate_pairs, sink,
-            native_kernel=native_kernel)
+        sizes_s = counts.take(src_groups)
+        sizes_t = index.cell_counts.take(tgt_cells).astype(np.int64)
+        starts_s = starts.take(src_groups)
+        starts_t = index.cell_starts.take(tgt_cells).astype(np.int64)
+        pair_counts = sizes_s * sizes_t
+        for lo, hi in _chunk_boundaries(pair_counts, max_candidate_pairs):
+            chunk = slice(lo, hi)
+            if native_kernel is not None:
+                chunk_total = int(pair_counts[chunk].sum())
+                keys = np.empty(chunk_total, dtype=np.int64)
+                values = np.empty(chunk_total, dtype=np.int64)
+                # The query side indirects through the group order array, so
+                # the kernel emits *local* probe rows; map them to rows here.
+                n = native_kernel(probe_pts, index.points, order, index.A,
+                                  starts_s[chunk], sizes_s[chunk],
+                                  starts_t[chunk], sizes_t[chunk],
+                                  eps2, keys, values, False)
+                stats.distance_calcs += chunk_total
+                sink.emit(rows.take(keys[:n]), values[:n].copy())
+                continue
+            q_pos, c_pos = _expand_cell_pair_positions(
+                starts_s[chunk], sizes_s[chunk], starts_t[chunk], sizes_t[chunk])
+            # The index side gathers by id, not from ``b_ordered_points``: as
+            # fast here, and it pins no points copy on a long-lived index.
+            c_ids = index.A.take(c_pos)
+            # ``take`` gathers whole rows far faster than fancy indexing does.
+            diff = ordered_pts.take(q_pos, axis=0)
+            diff -= index.points.take(c_ids, axis=0)
+            dist2 = np.einsum("ij,ij->i", diff, diff)
+            stats.distance_calcs += int(dist2.shape[0])
+            within = np.flatnonzero(dist2 <= eps2)
+            sink.emit(row_of_pos.take(q_pos.take(within)), c_ids.take(within))
     stats.result_pairs = sink.num_pairs - before
     return stats
-
-
-def _emit_group_pairs(probe_pts: np.ndarray, rows: np.ndarray, index: GridIndex,
-                      order: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                      src_groups: np.ndarray, tgt_cells: np.ndarray, eps2: float,
-                      max_candidate_pairs: int, sink: PairFragments,
-                      native_kernel: Optional[Callable] = None) -> int:
-    """Expand (query group, index cell) pairs, filter by distance, emit pairs."""
-    sizes_s = counts[src_groups].astype(np.int64)
-    sizes_t = index.cell_counts[tgt_cells].astype(np.int64)
-    starts_s = starts[src_groups].astype(np.int64)
-    starts_t = index.cell_starts[tgt_cells].astype(np.int64)
-    pair_counts = sizes_s * sizes_t
-    if int(pair_counts.sum()) == 0:
-        return 0
-    n_dist = 0
-    lo = 0
-    n_pairs = pair_counts.shape[0]
-    while lo < n_pairs:
-        hi = lo
-        running = 0
-        while hi < n_pairs and (running == 0
-                                or running + pair_counts[hi] <= max_candidate_pairs):
-            running += int(pair_counts[hi])
-            hi += 1
-        chunk = slice(lo, hi)
-        chunk_counts = pair_counts[chunk]
-        chunk_total = int(chunk_counts.sum())
-        if chunk_total and native_kernel is not None:
-            keys = np.empty(chunk_total, dtype=np.int64)
-            values = np.empty(chunk_total, dtype=np.int64)
-            # The query side indirects through the group order array, so the
-            # kernel emits *local* probe rows; map them to global rows here.
-            n = native_kernel(probe_pts, index.points, order, index.A,
-                              starts_s[chunk], sizes_s[chunk],
-                              starts_t[chunk], sizes_t[chunk],
-                              eps2, keys, values, False)
-            n_dist += chunk_total
-            sink.emit(rows[keys[:n]], values[:n].copy())
-        elif chunk_total:
-            pair_offsets = np.zeros(chunk_counts.shape[0] + 1, dtype=np.int64)
-            np.cumsum(chunk_counts, out=pair_offsets[1:])
-            pair_id = np.repeat(np.arange(chunk_counts.shape[0], dtype=np.int64),
-                                chunk_counts)
-            local = np.arange(chunk_total, dtype=np.int64) - pair_offsets[pair_id]
-            st = sizes_t[chunk][pair_id]
-            i_local = local // st
-            j_local = local - i_local * st
-            q_idx = order[starts_s[chunk][pair_id] + i_local]
-            c_idx = index.A[starts_t[chunk][pair_id] + j_local]
-            diff = probe_pts[q_idx] - index.points[c_idx]
-            dist2 = np.einsum("ij,ij->i", diff, diff)
-            n_dist += int(dist2.shape[0])
-            within = dist2 <= eps2
-            sink.emit(rows[q_idx[within]], c_idx[within])
-        lo = hi
-    return n_dist
 
 
 def _tiered_probe(queries: np.ndarray, index: GridIndex, eps: float,
@@ -602,14 +598,9 @@ def _cellwise_probe(queries: np.ndarray, index: GridIndex, eps: float,
         return stats
     eps2 = eps * eps
     probe_pts = queries[rows]
-    coords = lin.compute_cell_coords(probe_pts, index.gmin, index.eps,
-                                     index.num_cells)
-    cell_ids = lin.linearize(coords, index.strides)
-    order = np.argsort(cell_ids, kind="stable")
-    unique_ids, starts, counts = _rle(cell_ids[order])
-    group_coords = lin.delinearize(unique_ids, index.num_cells)
+    order, starts, counts, group_coords = _group_probe_points(probe_pts, index)
     before = sink.num_pairs
-    for g in range(unique_ids.shape[0]):
+    for g in range(group_coords.shape[0]):
         members = order[starts[g]:starts[g] + counts[g]]
         ranges = adjacent_ranges(group_coords[g], index.num_cells)
         filtered = mask_filter_ranges(ranges, index.masks)

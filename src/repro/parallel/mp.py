@@ -65,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import signal
 import sys
 import time
 import weakref
@@ -122,12 +123,24 @@ _WORKER: dict = {}
 _SESSION_WORKER: dict = {}
 
 
+def _restore_default_sigterm() -> None:
+    """Let ``Pool.terminate()``'s SIGTERM end a worker the default way.
+
+    A forked worker inherits any Python-level SIGTERM handler of its parent.
+    Such a handler runs only between bytecodes, so a worker that takes the
+    signal while blocked on the pool's task-queue lock can stay alive, and
+    ``terminate()`` then waits for it forever.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 # --------------------------------------------------------------------------
 # one-shot worker kernels (fresh pool per operator call)
 # --------------------------------------------------------------------------
 def _init_worker(points: np.ndarray, queries: Optional[np.ndarray],
                  index_eps: float, inner: str, max_candidate_pairs: int) -> None:
     """Pool initializer: receive the dataset once, rebuild the index locally."""
+    _restore_default_sigterm()
     _WORKER["index"] = GridIndex.build(points, index_eps)
     _WORKER["queries"] = queries
     _WORKER["backend"] = get_backend(inner)
@@ -217,6 +230,7 @@ def _init_session_worker(shm_name: Optional[str], shape, dtype,
     the original-id directory for result translation), a shared-memory
     segment (``shm_name``), or the pickled-initargs fallback.
     """
+    _restore_default_sigterm()
     ids = None
     if store_path is not None:
         from repro.data.store import SpatialStore

@@ -164,7 +164,6 @@ class ShardedBackend(ExecutionBackend):
         # no sampling pass over the file is needed.
         slices = split_by_cost(source.cell_counts.astype(np.float64),
                                self._resolved_shards())
-        radius = source.halo_radius(eps)
         stats = KernelStats()
         for cells in slices:
             # Cancellation checkpoint: stops a streamed join between disk
@@ -172,22 +171,40 @@ class ShardedBackend(ExecutionBackend):
             check_cancelled()
             if cells.shape[0] == 0:
                 continue
-            lo, hi = int(cells[0]), int(cells[-1]) + 1
-            owned_pts, owned_ids = source.read_cell_range(lo, hi)
-            halo_pts, halo_ids = source.read_cell_positions(
-                source.halo_positions(lo, hi, radius))
-            if halo_pts.shape[0]:
-                local_pts = np.concatenate([owned_pts, halo_pts])
-                local_ids = np.concatenate([owned_ids, halo_ids])
-            else:
-                local_pts, local_ids = owned_pts, owned_ids
-            sub = SubsetIndex.build(local_pts, local_ids, eps)
-            local_sink = PairFragments(owned_pts.shape[0])
-            stats.merge(inner.run_probe(
-                owned_pts, sub.index, eps, local_sink,
-                max_candidate_pairs=max_candidate_pairs))
-            keys, values = local_sink.concatenated()
-            # Owned points occupy local rows [0, n_owned), so their global
-            # ids come straight off the slice's id map.
-            sink.emit(owned_ids[keys], sub.to_global(values))
+            keys, values, shard_stats = probe_store_shard(
+                source, int(cells[0]), int(cells[-1]) + 1, eps, inner,
+                max_candidate_pairs)
+            stats.merge(shard_stats)
+            sink.emit(keys, values)
         return stats
+
+
+def probe_store_shard(source, lo: int, hi: int, eps: float,
+                      backend: ExecutionBackend,
+                      max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS):
+    """Join the points of directory range ``[lo, hi)`` of a store, out of core.
+
+    The per-shard body of a streamed self-join, shared by
+    :meth:`ShardedBackend.run_selfjoin_streamed` and the distributed
+    workers: reads the owned cell range plus its ε-halo (a few contiguous
+    reads), builds a shard-local
+    :class:`~repro.core.gridindex.SubsetIndex` and probes the owned points
+    against it with ``backend``.  Returns ``(keys, values, stats)`` with
+    both pair sides in global (original) point ids.
+    """
+    owned_pts, owned_ids = source.read_cell_range(lo, hi)
+    halo_pts, halo_ids = source.read_cell_positions(
+        source.halo_positions(lo, hi, source.halo_radius(eps)))
+    if halo_pts.shape[0]:
+        local_pts = np.concatenate([owned_pts, halo_pts])
+        local_ids = np.concatenate([owned_ids, halo_ids])
+    else:
+        local_pts, local_ids = owned_pts, owned_ids
+    sub = SubsetIndex.build(local_pts, local_ids, eps)
+    local_sink = PairFragments(owned_pts.shape[0])
+    stats = backend.run_probe(owned_pts, sub.index, eps, local_sink,
+                              max_candidate_pairs=max_candidate_pairs)
+    keys, values = local_sink.concatenated()
+    # Owned points occupy local rows [0, n_owned), so their global ids come
+    # straight off the slice's id map.
+    return owned_ids[keys], sub.to_global(values), stats

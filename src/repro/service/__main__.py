@@ -58,8 +58,9 @@ async def _serve(args: argparse.Namespace) -> None:
         if not name or not path:
             raise SystemExit(f"--register expects NAME=STORE_PATH, got {spec!r}")
         service.catalog.register(name, store_path=path)
-        print(f"registered {name!r} from {path}")
-    print(f"repro-serve listening on {service.host}:{service.port}")
+        print(f"registered {name!r} from {path}", flush=True)
+    print(f"repro-serve listening on {service.host}:{service.port}",
+          flush=True)
     await service.serve_until_stopped()
 
 

@@ -14,8 +14,10 @@ The acceptance properties of the session-based engine lifecycle:
 
 from __future__ import annotations
 
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +198,37 @@ class TestSessionParity:
         assert np.all(result.neighbor_table.counts() >= 4)
 
 
+def _catches_sigterm(pid: int) -> bool:
+    """Whether process ``pid`` has a handler installed for SIGTERM."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("SigCgt:"):
+            return bool(int(line.split()[1], 16) >> (signal.SIGTERM - 1) & 1)
+    raise AssertionError(f"no SigCgt line for pid {pid}")
+
+
 class TestPersistentPool:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads signal dispositions from /proc")
+    def test_workers_take_sigterm_the_default_way(self):
+        # A host's Python-level SIGTERM handler must not reach the forked
+        # workers: a worker blocked on the task queue when the signal lands
+        # stays alive, and Pool.terminate() then waits for it forever.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        backend = MultiprocessBackend(n_workers=2)
+        try:
+            with EngineSession(_dataset(seed=33), backend=backend) as session:
+                session.self_join(0.9)
+                pids = backend.worker_pids(session)
+                deadline = time.monotonic() + 30.0
+                while any(map(_catches_sigterm, pids)) \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.05)  # initializers run as workers start
+                assert len(pids) == 2
+                assert not any(map(_catches_sigterm, pids))
+        finally:
+            backend.shutdown()
+            signal.signal(signal.SIGTERM, previous)
+
     def test_warm_query_reuses_pool_and_never_reships(self):
         points = _dataset(seed=31)
         backend = MultiprocessBackend(n_workers=2)

@@ -1,6 +1,11 @@
 """End-to-end service tests over real sockets (ServerThread + ServiceClient)."""
 
+import os
+import queue
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +240,34 @@ class TestProtocolHardening:
                 assert resp is not None
                 assert resp[0]["status"] == protocol.STATUS_ERROR
                 assert "payload length" in resp[0]["message"]
+
+
+class TestServeCli:
+    def test_banner_reaches_a_pipe_without_unbuffered_mode(self, tmp_path):
+        # A launcher reads the bound address off the banner while the server
+        # keeps running, so both banner lines must be flushed to the pipe.
+        path = tmp_path / "store.rqs"
+        SpatialStore.write(RNG.random((200, 2)), path, cell_width=0.1)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0",
+             "--register", f"stored={path}"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env)
+        lines: "queue.Queue[str]" = queue.Queue()
+        threading.Thread(target=lambda: [lines.put(line) for line in proc.stdout],
+                         daemon=True).start()
+        try:
+            assert lines.get(timeout=60).startswith("registered 'stored'")
+            banner = lines.get(timeout=60)
+            assert banner.startswith("repro-serve listening on ")
+            host, _, port = banner.split()[-1].rpartition(":")
+            with ServiceClient(host, int(port)) as c:
+                assert c.ping()
+                c.shutdown_server()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
