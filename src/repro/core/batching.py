@@ -33,7 +33,7 @@ import numpy as np
 from repro.core import linearize as lin
 from repro.core.gridindex import GridIndex
 from repro.core.kernels import KernelOutput, KernelStats
-from repro.core.neighbors import all_neighbor_offsets
+from repro.core.neighbors import NeighborResolver, all_neighbor_offsets
 from repro.core.result import ResultSet
 from repro.gpusim.device import Device
 from repro.gpusim.streams import PipelineReport, simulate_pipeline
@@ -277,17 +277,10 @@ def candidate_counts_at(index: GridIndex, coords: np.ndarray) -> np.ndarray:
     counts = np.zeros(coords.shape[0], dtype=np.int64)
     if coords.shape[0] == 0:
         return counts
+    resolver = NeighborResolver(index, coords)
     for offset in all_neighbor_offsets(index.num_dims, include_home=True):
-        neighbor = coords + offset[None, :]
-        inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]),
-                        axis=1)
-        if not inside.any():
-            continue
-        linear = lin.linearize(neighbor[inside], index.strides)
-        target = index.lookup_cells(linear)
-        found = target >= 0
-        rows = np.flatnonzero(inside)[found]
-        counts[rows] += index.cell_counts[target[found]]
+        rows, target, _ = resolver.resolve(offset)
+        counts[rows] += index.cell_counts.take(target)
     return counts
 
 

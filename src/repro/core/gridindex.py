@@ -15,7 +15,9 @@ the paper:
 ``M_j`` (``masks``)
     Per-dimension sorted arrays of the cell coordinates that are non-empty in
     that dimension; used to filter the adjacent-cell ranges before the binary
-    search (Section IV-D).
+    search (Section IV-D).  The kernels read them as padded per-dimension
+    occupancy bitmaps (:attr:`GridIndex.occupancy_bitmaps`), so the filter
+    is a table look-up rather than a binary search of ``M_j``.
 
 The space complexity is ``O(|B| + |G| + |A|) = O(|D|)`` because every stored
 cell contains at least one point.
@@ -91,6 +93,9 @@ class GridIndex:
         ``points[A]``, the points in ``A``-position order (so each cell's
         points are one contiguous block of rows); built on first use and
         cached.
+    occupancy_bitmaps:
+        The masks as padded per-dimension boolean bitmaps; built on first
+        use and cached.
     """
 
     points: np.ndarray
@@ -108,6 +113,8 @@ class GridIndex:
     cell_coords: np.ndarray
     masks: List[np.ndarray] = field(default_factory=list)
     _b_ordered_points: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
+    _occupancy_bitmaps: Optional[List[np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ build
@@ -192,6 +199,25 @@ class GridIndex:
         if self._b_ordered_points is None:
             self._b_ordered_points = self.points[self.A]
         return self._b_ordered_points
+
+    @property
+    def occupancy_bitmaps(self) -> List[np.ndarray]:
+        """The masks ``M_j`` as padded boolean bitmaps, built once per index.
+
+        ``occupancy_bitmaps[j]`` has ``num_cells[j] + 2`` entries and entry
+        ``c + 1`` is true iff coordinate ``c`` is in ``M_j``.  The first and
+        last entries are padding that read false, so a coordinate shifted
+        one cell outside the grid reads "empty" without a bounds check.  It
+        is a cache of the masks, so :meth:`memory_footprint` leaves it out.
+        """
+        if self._occupancy_bitmaps is None:
+            bitmaps = []
+            for mask, cells in zip(self.masks, self.num_cells):
+                bitmap = np.zeros(int(cells) + 2, dtype=bool)
+                bitmap[mask + 1] = True
+                bitmaps.append(bitmap)
+            self._occupancy_bitmaps = bitmaps
+        return self._occupancy_bitmaps
 
     # ---------------------------------------------------------------- lookups
     def lookup_cell(self, linear_id: int) -> int:

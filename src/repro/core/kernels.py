@@ -17,11 +17,15 @@ and its UNICOMP variant (Algorithm 2) are provided:
 ``vectorized``
     The production path.  The outer loop runs over the 3^n neighbor
     *offsets*; for each offset every (source cell, target cell) pair is
-    resolved with one vectorized binary search, the ragged point-pair lists
-    are expanded with ``np.repeat`` arithmetic, and all distances for the
-    offset are evaluated in a single NumPy expression.  The visited cell
-    pairs and emitted results are identical to Algorithm 1; only the loop
-    nesting differs (data-parallel over cells rather than over points), which
+    resolved at once by :class:`~repro.core.neighbors.NeighborResolver`:
+    the mask filter ``M_j`` is an AND of per-dimension rows looked up once
+    per call in the index's occupancy bitmaps, the neighbour's linear id is
+    the source's plus ``offset · strides``, and one binary search of ``B``
+    finds the non-empty targets.  The ragged point-pair lists are then
+    expanded with ``np.repeat`` arithmetic and all distances for the offset
+    are evaluated in a single NumPy expression.  The visited cell pairs and
+    emitted results are identical to Algorithm 1; only the loop nesting
+    differs (data-parallel over cells rather than over points), which
     mirrors how the CUDA kernel is data-parallel over points.
 
 All kernels operate on an optional subset of source cells so the batching
@@ -39,13 +43,14 @@ import numpy as np
 from repro.core import nativekernels
 from repro.core.gridindex import GridIndex
 from repro.core.neighbors import (
+    NeighborResolver,
     adjacent_ranges,
     all_neighbor_offsets,
     enumerate_candidate_cells,
     mask_filter_ranges,
 )
 from repro.core.result import PairFragments, ResultSet
-from repro.core.unicomp import unicomp_candidate_cells, unicomp_offset_mask
+from repro.core.unicomp import unicomp_candidate_cells
 
 #: Default bound on the number of candidate point pairs expanded at once by
 #: the vectorized kernel.  Bounds peak memory at roughly
@@ -283,8 +288,11 @@ def selfjoin_global_vectorized(index: GridIndex, eps: Optional[float] = None,
     """Vectorized GLOBAL kernel (offset-major loop order).
 
     For each of the ``3^n`` neighbor offsets, all (source, target) non-empty
-    cell pairs are resolved at once and their candidate point pairs expanded
-    and distance-filtered in chunks of at most ``max_candidate_pairs``.
+    cell pairs are resolved at once (bitmap mask filter, linear-id offset,
+    one binary search of ``B``; see
+    :class:`~repro.core.neighbors.NeighborResolver`) and their candidate
+    point pairs expanded and distance-filtered in chunks of at most
+    ``max_candidate_pairs``.
 
     ``native_kernel`` swaps the NumPy expand/filter step for one of the
     compiled pair kernels from :mod:`repro.core.nativekernels`; the cell
@@ -297,9 +305,10 @@ def selfjoin_global_vectorized(index: GridIndex, eps: Optional[float] = None,
     before = sink.num_pairs
     cells = np.arange(index.num_nonempty_cells, dtype=np.int64) if source_cells is None \
         else np.asarray(source_cells, dtype=np.int64)
-    offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
-        src, tgt, checked = _resolve_offset_pairs(index, cells, offset)
+    resolver = NeighborResolver(index, index.cell_coords[cells], index.B[cells])
+    for offset in all_neighbor_offsets(index.num_dims, include_home=True):
+        rows, tgt, checked = resolver.resolve(offset)
+        src = cells.take(rows)
         stats.cells_checked += checked
         stats.nonempty_cells_visited += int(src.shape[0])
         if src.shape[0] == 0:
@@ -323,7 +332,10 @@ def selfjoin_unicomp_vectorized(index: GridIndex, eps: Optional[float] = None,
 
     The home offset is processed for every source cell; each non-home offset
     is processed only for the source cells whose UNICOMP parity rule selects
-    it, and both ordered pairs are emitted for the matches found.
+    it, and both ordered pairs are emitted for the matches found.  The
+    parity rule is one more precomputed row per dimension in the
+    :class:`~repro.core.neighbors.NeighborResolver`, ANDed into the mask
+    filter.
     """
     eps = index.eps if eps is None else float(eps)
     stats = KernelStats()
@@ -332,17 +344,12 @@ def selfjoin_unicomp_vectorized(index: GridIndex, eps: Optional[float] = None,
     before = sink.num_pairs
     cells = np.arange(index.num_nonempty_cells, dtype=np.int64) if source_cells is None \
         else np.asarray(source_cells, dtype=np.int64)
-    offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
-        is_home = bool(np.all(offset == 0))
-        if is_home:
-            selected = cells
-        else:
-            mask = unicomp_offset_mask(index.cell_coords[cells], offset)
-            selected = cells[mask]
-        if selected.shape[0] == 0:
-            continue
-        src, tgt, checked = _resolve_offset_pairs(index, selected, offset)
+    resolver = NeighborResolver(index, index.cell_coords[cells], index.B[cells],
+                                unicomp=True)
+    for offset in all_neighbor_offsets(index.num_dims, include_home=True):
+        is_home = not offset.any()
+        rows, tgt, checked = resolver.resolve(offset)
+        src = cells.take(rows)
         stats.cells_checked += checked
         stats.nonempty_cells_visited += int(src.shape[0])
         if src.shape[0] == 0:
@@ -418,37 +425,6 @@ KERNELS = {
 # --------------------------------------------------------------------------
 # internal helpers
 # --------------------------------------------------------------------------
-def _resolve_offset_pairs(index: GridIndex, source_cells: np.ndarray,
-                          offset: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Map each source cell to its neighbor cell at ``offset``.
-
-    Returns ``(src, tgt, checked)`` where ``src``/``tgt`` are indices into
-    ``B`` for the pairs whose neighbor exists (is inside the grid, passes the
-    per-dimension masks and is non-empty), and ``checked`` is the number of
-    candidate cells that survived the mask filter and were binary-searched
-    (the quantity the masking arrays are designed to reduce).
-    """
-    coords = index.cell_coords[source_cells]
-    neighbor = coords + np.asarray(offset, dtype=np.int64)[None, :]
-    inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]), axis=1)
-    # Mask filter: each neighbor coordinate must be non-empty in its dimension.
-    for j, mask in enumerate(index.masks):
-        if not inside.any():
-            break
-        pos = np.searchsorted(mask, neighbor[:, j])
-        pos = np.minimum(pos, mask.shape[0] - 1)
-        inside &= mask[pos] == neighbor[:, j]
-    candidates = np.flatnonzero(inside)
-    checked = int(candidates.shape[0])
-    if checked == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
-    linear = index.coords_to_linear(neighbor[candidates])
-    tgt = index.lookup_cells(linear)
-    found = tgt >= 0
-    src = source_cells[candidates[found]]
-    return src.astype(np.int64), tgt[found].astype(np.int64), checked
-
-
 def _emit_pairs_chunked(index: GridIndex, src: np.ndarray, tgt: np.ndarray,
                         eps: float, max_candidate_pairs: int,
                         sink: PairFragments, mirror: bool,

@@ -10,16 +10,19 @@ Two flavours are provided:
 
 * scalar/per-cell helpers used by the readable "cellwise" kernel and the
   per-thread simulated kernel, and
-* vectorized helpers (offset enumeration) used by the fast NumPy kernels.
+* vectorized helpers used by the fast NumPy kernels: offset enumeration and
+  :class:`NeighborResolver`, the one place where many cells are resolved to
+  their neighbour cells in ``B`` (self-join kernels, probe, cost models).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import linearize as lin
 from repro.core.gridindex import GridIndex
 
 
@@ -114,6 +117,114 @@ def all_neighbor_offsets(n_dims: int, include_home: bool = True) -> np.ndarray:
     return offsets
 
 
+class NeighborResolver:
+    """Table-driven neighbour-cell resolution for a fixed set of source cells.
+
+    The vectorized form of Algorithm 1's bounded search: for every source
+    cell and offset in ``{-1, 0, +1}^n`` it decides whether the neighbour
+    cell passes the per-dimension masks ``M_j`` and, if so, binary-searches
+    its linear id in ``B``.
+
+    The mask filter is done by table look-ups.  On construction, each
+    dimension ``j`` gets a ``(3, m)`` shift table over the ``m`` source
+    cells, read off the index's padded occupancy bitmap: row ``s + 1`` says
+    whether ``c_j + s`` is inside the grid and in ``M_j``.  An offset's
+    filter is then the AND of one row per dimension.  With ``unicomp=True``
+    the UNICOMP parity rule is one more precomputed row per dimension: the
+    cell evaluates an offset iff its coordinate in the offset's highest
+    non-zero dimension is odd (see :mod:`repro.core.unicomp`).  The
+    neighbour's linear id is the source's plus ``offset · strides``, so no
+    coordinates are re-linearized; one ``searchsorted`` into ``B`` remains.
+
+    Parameters
+    ----------
+    index:
+        The grid index whose ``B`` and masks are searched.
+    coords:
+        ``(m, n_dims)`` cell coordinates of the sources in ``index``'s grid.
+        They need not be non-empty cells, nor inside the grid.
+    linear:
+        The sources' linear ids, when the caller already has them (``B``
+        entries for non-empty cells); computed from ``coords`` otherwise.
+    unicomp:
+        Apply the UNICOMP selection rule to the non-home offsets.
+    """
+
+    def __init__(self, index: GridIndex, coords: np.ndarray,
+                 linear: Optional[np.ndarray] = None, *,
+                 unicomp: bool = False) -> None:
+        coords = np.asarray(coords, dtype=np.int64)
+        self.index = index
+        self.num_sources = int(coords.shape[0])
+        # Bitmap entry ``c + s + 1`` for ``s = -1, 0, +1``; coordinates far
+        # outside the grid clip onto the padding, which reads false.
+        pos = coords.T[:, None, :] + np.arange(3, dtype=np.int64)[None, :, None]
+        np.minimum(pos, (index.num_cells + 1)[:, None, None], out=pos)
+        np.maximum(pos, 0, out=pos)
+        self._tables = [bitmap.take(rows)
+                        for bitmap, rows in zip(index.occupancy_bitmaps, pos)]
+        self._linear = lin.linearize(coords, index.strides) if linear is None \
+            else np.asarray(linear, dtype=np.int64)
+        self._parity: Optional[np.ndarray] = None
+        if unicomp:
+            # Row ``k`` selects for offsets whose highest non-zero dimension
+            # is ``k``; the last row (all true) serves the home offset.
+            parity = np.ones((index.num_dims + 1, self.num_sources), dtype=bool)
+            parity[:-1] = (coords.T & 1).astype(bool)
+            self._parity = parity
+
+    def resolve(self, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Resolve one offset, or a block of them stacked offset-major.
+
+        Parameters
+        ----------
+        offsets:
+            ``(n_dims,)`` offset or ``(k, n_dims)`` block of offsets.
+
+        Returns
+        -------
+        (sources, targets, checked):
+            ``sources`` indexes the constructor's ``coords`` and ``targets``
+            indexes ``B``: source ``sources[i]`` has the non-empty neighbour
+            cell ``targets[i]``.  Pairs are ordered offset-major, then by
+            source.  ``checked`` counts the neighbours that passed the mask
+            filter and were binary-searched in ``B`` (the quantity the masks
+            are designed to reduce).
+        """
+        index = self.index
+        offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, index.num_dims)
+        rows = offsets + 1
+        ok = self._tables[0][rows[:, 0]]
+        for j in range(1, index.num_dims):
+            ok &= self._tables[j][rows[:, j]]
+        if self._parity is not None:
+            ok &= self._parity[_highest_nonzero_dims(offsets)]
+        candidates = np.flatnonzero(ok)
+        checked = int(candidates.shape[0])
+        if checked == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy(), 0
+        shift = offsets @ index.strides
+        if offsets.shape[0] == 1:
+            sources = candidates
+            linear = self._linear.take(sources) + shift[0]
+        else:
+            block, sources = np.divmod(candidates, self.num_sources)
+            linear = self._linear.take(sources) + shift.take(block)
+        B = index.B
+        pos = np.searchsorted(B, linear)
+        found = B.take(np.minimum(pos, B.shape[0] - 1)) == linear
+        return sources[found], pos[found], checked
+
+
+def _highest_nonzero_dims(offsets: np.ndarray) -> np.ndarray:
+    """Highest non-zero dimension of each offset row; ``n_dims`` for home."""
+    n_dims = offsets.shape[1]
+    nonzero = offsets != 0
+    highest = n_dims - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), highest, n_dims)
+
+
 def neighbor_cells_for_offset(index: GridIndex, offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For one offset, map every non-empty cell to its (possibly empty) neighbor.
 
@@ -132,14 +243,5 @@ def neighbor_cells_for_offset(index: GridIndex, offset: np.ndarray) -> tuple[np.
         ``target[k]``.  Cells whose neighbor falls outside the grid or is
         empty are dropped.
     """
-    coords = index.cell_coords
-    neighbor = coords + np.asarray(offset, dtype=np.int64)[None, :]
-    inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]), axis=1)
-    src = np.flatnonzero(inside)
-    if src.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    linear = index.coords_to_linear(neighbor[src])
-    tgt = index.lookup_cells(linear)
-    found = tgt >= 0
-    return src[found].astype(np.int64), tgt[found].astype(np.int64)
+    src, tgt, _ = NeighborResolver(index, index.cell_coords, index.B).resolve(offset)
+    return src, tgt

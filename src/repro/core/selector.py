@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.gridindex import GridIndex
-from repro.core.neighbors import all_neighbor_offsets
+from repro.core.neighbors import NeighborResolver, all_neighbor_offsets
 from repro.core.result import ResultSet
-from repro.core.unicomp import unicomp_offset_mask
 from repro.utils.validation import check_eps, check_points
 
 
@@ -96,25 +95,11 @@ def estimate_join_work(index: GridIndex, unicomp: bool = True) -> WorkEstimate:
         configuration of GPU-SJ).
     """
     counts = index.cell_counts.astype(np.int64)
+    resolver = NeighborResolver(index, index.cell_coords, index.B, unicomp=unicomp)
     total_pairs = 0
-    offsets = all_neighbor_offsets(index.num_dims, include_home=True)
-    for offset in offsets:
-        is_home = bool(np.all(offset == 0))
-        if unicomp and not is_home:
-            mask = unicomp_offset_mask(index.cell_coords, offset)
-            sources = np.flatnonzero(mask)
-        else:
-            sources = np.arange(index.num_nonempty_cells)
-        if sources.shape[0] == 0:
-            continue
-        neighbor = index.cell_coords[sources] + offset[None, :]
-        inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]), axis=1)
-        sources = sources[inside]
-        if sources.shape[0] == 0:
-            continue
-        target = index.lookup_cells(index.coords_to_linear(neighbor[inside]))
-        found = target >= 0
-        total_pairs += int((counts[sources[found]] * counts[target[found]]).sum())
+    for offset in all_neighbor_offsets(index.num_dims, include_home=True):
+        sources, targets, _ = resolver.resolve(offset)
+        total_pairs += int((counts.take(sources) * counts.take(targets)).sum())
     return WorkEstimate(
         grid_candidate_pairs=total_pairs,
         bruteforce_pairs=index.num_points ** 2,

@@ -789,7 +789,8 @@ class DistributedBackend(ExecutionBackend):
         under ``window``, and all sink emission goes through the
         :class:`~repro.parallel.scheduler.OrderedShardMerger`, so fragments
         reach the sink strictly in B-order shard order no matter the
-        completion order.  Failure semantics:
+        completion order.  The returned counters are the merger's, so they
+        count only each shard's winning copies.  Failure semantics:
 
         * socket/protocol error → the endpoint is considered dead, its
           queued and in-flight shards re-queued for the survivors
@@ -806,9 +807,8 @@ class DistributedBackend(ExecutionBackend):
           shard at a B-order boundary and races the halves; hedging a full
           duplicate is the last resort for unsplittable work.
         """
-        stats = KernelStats()
         if not tasks:
-            return stats
+            return KernelStats()
         token = current_token()   # thread-locals don't cross threads: capture
         names = [_format_address(address) for address in endpoints]
         sched = WorkStealingScheduler(
@@ -871,9 +871,9 @@ class DistributedBackend(ExecutionBackend):
                             pairs=int(end.get("pairs", 0) or 0))
                         if completion.accepted:
                             merger.stash(task.key, chunks,
-                                         key_map=ctx.key_map(task))
-                            stats.merge(stats_from_wire(
-                                end.get("stats") or {}))
+                                         key_map=ctx.key_map(task),
+                                         stats=stats_from_wire(
+                                             end.get("stats") or {}))
                         if completion.newly_covered is not None:
                             root, chosen = completion.newly_covered
                             covered.add(root)
@@ -904,6 +904,7 @@ class DistributedBackend(ExecutionBackend):
             self._close_open_sockets()
             for thread in threads:
                 thread.join(timeout=5.0)
+        stats = merger.stats
         report = sched.finalize_report(
             achieved_cost=float(stats.distance_calcs))
         stats.schedule_counts = report.counts()

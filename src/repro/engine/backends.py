@@ -67,6 +67,7 @@ from repro.core.kernels import (
     selfjoin_unicomp_cellwise,
 )
 from repro.core.neighbors import (
+    NeighborResolver,
     adjacent_ranges,
     all_neighbor_offsets,
     enumerate_candidate_cells,
@@ -435,10 +436,11 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
     grid*, so co-located queries share the adjacent-cell resolution.  The
     3^n offsets are resolved in blocks: a block stacks its (offset, query
     group) rows offset-major and group-minor (at most
-    :data:`_PROBE_BLOCK_ROWS` of them) and resolves them all with one mask
-    filter and one :meth:`~repro.core.gridindex.GridIndex.lookup_cells`,
-    so a single query point visits its whole neighbourhood in one pass,
-    as one bounded search of Algorithm 1.
+    :data:`_PROBE_BLOCK_ROWS` of them) and resolves them all with one
+    :meth:`~repro.core.neighbors.NeighborResolver.resolve` (bitmap mask
+    filter, one binary search of ``B``), so a single query point visits
+    its whole neighbourhood in one pass, as one bounded search of
+    Algorithm 1.
 
     The found (query group, index cell) pairs expand in *position space*,
     with the self-join's helpers: each group is a contiguous run of the
@@ -465,34 +467,15 @@ def _vectorized_probe(queries: np.ndarray, index: GridIndex, eps: float,
 
     offsets = all_neighbor_offsets(index.num_dims, include_home=True)
     per_block = max(1, _PROBE_BLOCK_ROWS // num_groups)
-    # Group of each stacked row: offset-major, group-minor.
-    group_of_row = np.tile(np.arange(num_groups, dtype=np.int64),
-                           min(per_block, offsets.shape[0]))
+    resolver = NeighborResolver(index, group_coords)
     before = sink.num_pairs
     for b0 in range(0, offsets.shape[0], per_block):
         # Cancellation checkpoint: in high dimensionality the 3^n offsets
         # dominate runtime, so a deadline stops between offset blocks.
         check_cancelled()
-        block = offsets[b0:b0 + per_block]
-        neighbor = (block[:, None, :] + group_coords[None, :, :]).reshape(
-            -1, index.num_dims)
-        inside = np.all((neighbor >= 0) & (neighbor < index.num_cells[None, :]),
-                        axis=1)
-        for j, mask in enumerate(index.masks):
-            if not inside.any():
-                break
-            pos = np.searchsorted(mask, neighbor[:, j])
-            pos = np.minimum(pos, mask.shape[0] - 1)
-            inside &= mask[pos] == neighbor[:, j]
-        candidates = np.flatnonzero(inside)
-        stats.cells_checked += int(candidates.shape[0])
-        if candidates.shape[0] == 0:
-            continue
-        linear = lin.linearize(neighbor[candidates], index.strides)
-        target = index.lookup_cells(linear)
-        found = target >= 0
-        src_groups = group_of_row.take(candidates[found])
-        tgt_cells = target[found]
+        src_groups, tgt_cells, checked = resolver.resolve(
+            offsets[b0:b0 + per_block])
+        stats.cells_checked += checked
         stats.nonempty_cells_visited += int(src_groups.shape[0])
         if src_groups.shape[0] == 0:
             continue

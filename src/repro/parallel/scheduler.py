@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batching import split_by_cost
+from repro.core.kernels import KernelStats
 
 #: Shards planned per worker.  ~4× oversubscription keeps the pull queue
 #: deep enough that a slow worker's backlog can be stolen/rebalanced away,
@@ -588,6 +589,11 @@ class WorkStealingScheduler:
         if family.try_cover():
             root = int(key[0])
             self._covered_roots.add(root)
+            # A half accepted earlier whose original then won the family is
+            # as wasted as a half that loses outright: a resplit race.
+            for lost in family.done.keys() - set(family.chosen):
+                self.report.resplit_wasted_shards += 1
+                self.report.resplit_wasted_pairs += family.done[lost]
             return Completion(accepted=True,
                               newly_covered=(root, list(family.chosen)))
         return Completion(accepted=True)
@@ -725,6 +731,13 @@ class OrderedShardMerger:
     which workers finished first, and only out-of-order shards are ever
     buffered (in-order completions flush immediately).
 
+    Each copy's :class:`~repro.core.kernels.KernelStats` is stashed with its
+    fragments and merged into :attr:`stats` only if the copy is in its
+    root's winning covering set, so the counters describe exactly the pairs
+    emitted.  An accepted copy left outside that set (a resplit half whose
+    original then completes) is dropped with its stats; its work is
+    reported only by the scheduler's ``*_wasted_*`` counters.
+
     ``key_maps`` (per copy key, optional) re-base a probe shard's
     slice-local result rows onto global query rows at emit time.
     """
@@ -732,18 +745,23 @@ class OrderedShardMerger:
     def __init__(self, sink, roots: Sequence[int]) -> None:
         self.sink = sink
         self.roots = list(roots)
+        #: Counters of the flushed (winning) copies.
+        self.stats = KernelStats()
         self._next = 0
         self._chunks: Dict[Tuple[int, ...], List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._key_maps: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
+        self._stats: Dict[Tuple[int, ...], Optional[KernelStats]] = {}
         self._chosen: Dict[int, List[Tuple[int, ...]]] = {}
 
     def stash(self, key: Tuple[int, ...],
               chunks: List[Tuple[np.ndarray, np.ndarray]],
-              key_map: Optional[np.ndarray] = None) -> None:
-        """Hold an accepted copy's fragments until its turn to emit."""
+              key_map: Optional[np.ndarray] = None,
+              stats: Optional[KernelStats] = None) -> None:
+        """Hold an accepted copy's fragments and stats until its turn to emit."""
         key = tuple(key)
         self._chunks[key] = list(chunks)
         self._key_maps[key] = key_map
+        self._stats[key] = stats
 
     def complete(self, root: int, chosen: List[Tuple[int, ...]]) -> None:
         """Mark a root covered by ``chosen`` copies; flush the frontier."""
@@ -753,7 +771,7 @@ class OrderedShardMerger:
     def _flush(self) -> None:
         while self._next < len(self.roots):
             root = self.roots[self._next]
-            chosen = self._chosen.get(root)
+            chosen = self._chosen.pop(root, None)
             if chosen is None:
                 return
             for key in chosen:
@@ -762,6 +780,12 @@ class OrderedShardMerger:
                     if key_map is not None:
                         keys = key_map[keys]
                     self.sink.emit(keys, values)
+                stats = self._stats.pop(key, None)
+                if stats is not None:
+                    self.stats.merge(stats)
+            # Drop the family's losing copies, fragments and stats alike.
+            for key in [k for k in self._chunks if k[0] == root]:
+                del self._chunks[key], self._key_maps[key], self._stats[key]
             self._next += 1
 
     def pending(self) -> int:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.kdtree_ref import kdtree_selfjoin
 from repro.core.gridindex import GridIndex
 from repro.core import kernels as K
-from repro.core.neighbors import all_neighbor_offsets
+from repro.core.neighbors import NeighborResolver, all_neighbor_offsets
 
 
 ALL_KERNELS = [
@@ -278,9 +278,9 @@ class TestPositionSpaceEmission:
         rng = np.random.default_rng(dims)
         pts = rng.uniform(0.0, 6.0, size=(400, dims))
         index = GridIndex.build(pts, 1.0)
-        cells = np.arange(index.num_nonempty_cells)
+        resolver = NeighborResolver(index, index.cell_coords, index.B)
         for offset in all_neighbor_offsets(dims, include_home=True)[:9]:
-            src, tgt, _ = K._resolve_offset_pairs(index, cells, offset)
+            src, tgt, _ = resolver.resolve(offset)
             ranges = (index.cell_starts[src], index.cell_counts[src],
                       index.cell_starts[tgt], index.cell_counts[tgt])
             q_pos, c_pos = K._expand_cell_pair_positions(*ranges)

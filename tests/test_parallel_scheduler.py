@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.kernels import KernelStats
 from repro.core.result import PairFragments
 from repro.parallel.scheduler import (
     OVERSPLIT_FACTOR,
@@ -217,6 +218,64 @@ class TestFamilyCoverage:
         assert sched.next_task("w2", 1.0).key == (0, 1)
         assert sched.next_task("w2", 2.0) is None
         assert sched.report.resplits == 1
+
+
+class TestExactCounters:
+    """Kernel counters come only from each family's winning covering set."""
+
+    def _stats(self, calcs, pairs):
+        return KernelStats(distance_calcs=calcs, result_pairs=pairs,
+                           cells_checked=calcs, nonempty_cells_visited=pairs)
+
+    def test_accepted_half_that_loses_its_family_is_not_counted(self):
+        sched = WorkStealingScheduler([_task(0, 8.0, n_items=4)],
+                                      ["w0", "w1"])
+        sink = PairFragments(20)
+        merger = OrderedShardMerger(sink, sched.roots)
+        sched.next_task("w0", 0.0)                    # original (0,)
+        assert sched.next_task("w1", 1.0).key == (0, 0)   # resplit half
+        # The half finishes first and is accepted: its family is still open.
+        half = sched.on_complete("w1", (0, 0), 2.0, pairs=2)
+        assert half.accepted and half.newly_covered is None
+        merger.stash((0, 0), [(np.array([0, 1]), np.array([1, 0]))],
+                     stats=self._stats(9, 2))
+        assert sched.next_task("w1", 2.0).key == (0, 1)
+        # Then the original covers the family on its own: the half loses.
+        orig = sched.on_complete("w0", (0,), 3.0, pairs=5)
+        assert orig.newly_covered == (0, [(0,)])
+        merger.stash((0,), [(np.arange(5), np.arange(5)[::-1])],
+                     stats=self._stats(20, 5))
+        merger.complete(*orig.newly_covered)
+        assert merger.pending() == 0
+        assert sink.num_pairs == 5
+        assert merger.stats.distance_calcs == 20
+        assert merger.stats.result_pairs == 5 == sink.num_pairs
+        assert merger.stats.cells_checked == 20
+        assert merger.stats.nonempty_cells_visited == 5
+        # The losing half's work shows up as resplit waste instead.
+        assert sched.report.resplit_wasted_shards == 1
+        assert sched.report.resplit_wasted_pairs == 2
+        late = sched.on_complete("w1", (0, 1), 4.0, pairs=3)
+        assert not late.accepted
+        assert sched.report.resplit_wasted_shards == 2
+        assert sched.report.resplit_wasted_pairs == 5
+
+    def test_winning_halves_are_both_counted(self):
+        sched = WorkStealingScheduler([_task(0, 8.0, n_items=4)],
+                                      ["w0", "w1"])
+        merger = OrderedShardMerger(PairFragments(20), sched.roots)
+        sched.next_task("w0", 0.0)
+        sched.next_task("w1", 1.0)
+        sched.next_task("w1", 1.0)
+        for key, t, calcs in (((0, 1), 2.0, 4), ((0, 0), 2.5, 6)):
+            done = sched.on_complete("w1", key, t, pairs=1)
+            merger.stash(key, [(np.array([calcs]), np.array([calcs]))],
+                         stats=self._stats(calcs, 1))
+            if done.newly_covered is not None:
+                merger.complete(*done.newly_covered)
+        assert merger.stats.distance_calcs == 10
+        assert merger.stats.result_pairs == 2
+        assert sched.report.resplit_wasted_shards == 0
 
 
 class TestHedgeAccountingFix:
