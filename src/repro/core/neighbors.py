@@ -17,6 +17,7 @@ Two flavours are provided:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -102,6 +103,9 @@ def all_neighbor_offsets(n_dims: int, include_home: bool = True) -> np.ndarray:
     vectorized) instead of the per-point loops of Algorithm 1; the visited
     cell pairs are identical.
 
+    Every kernel and probe call asks for these, so they are built once per
+    ``(n_dims, include_home)`` and returned as a shared **read-only** array.
+
     Parameters
     ----------
     n_dims:
@@ -109,11 +113,17 @@ def all_neighbor_offsets(n_dims: int, include_home: bool = True) -> np.ndarray:
     include_home:
         When ``False`` the all-zero offset is omitted.
     """
+    return _neighbor_offsets(int(n_dims), bool(include_home))
+
+
+@lru_cache(maxsize=None)
+def _neighbor_offsets(n_dims: int, include_home: bool) -> np.ndarray:
     grids = np.meshgrid(*([np.array([-1, 0, 1], dtype=np.int64)] * n_dims), indexing="ij")
     offsets = np.stack([g.ravel() for g in grids], axis=1)
     if not include_home:
         keep = ~np.all(offsets == 0, axis=1)
         offsets = offsets[keep]
+    offsets.flags.writeable = False
     return offsets
 
 

@@ -50,6 +50,7 @@ local worker per CPU.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import os
 import queue
@@ -87,6 +88,7 @@ from repro.parallel.scheduler import (
     ScheduleExhausted,
     ShardTask,
     WorkStealingScheduler,
+    tasks_from_arrays,
 )
 from repro.parallel.shards import ShardPlanner, default_worker_count
 from repro.service import protocol
@@ -659,27 +661,32 @@ class DistributedBackend(ExecutionBackend):
         return None
 
     # ------------------------------------------------------------- operators
+    @contextlib.contextmanager
+    def _attached(self, state: Optional[_DatasetState], attach):
+        """``state``, else an ephemeral attachment for this call only.
+
+        A one-shot call outside a session attaches with ``attach()`` and
+        drops the attachment afterwards (use a session to amortize the
+        shipping, exactly like the multiprocess pool).
+        """
+        if state is not None:
+            yield state
+            return
+        state = attach()
+        try:
+            yield state
+        finally:
+            self._detach_everywhere(state)
+
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
                      device=None, threads_per_block=256) -> KernelStats:
         endpoints = self.endpoints()
         plan = ShardPlanner(n_shards=self._resolved_shards(len(endpoints)),
                             seed=self.seed).plan(index, cells)
-        state = self._state_for_points(index.points)
-        ephemeral = state is None
-        if ephemeral:
-            # One-shot call outside a session: ship the arrays for this
-            # call and drop the attachment afterwards (use a session to
-            # amortize the shipping, exactly like the multiprocess pool).
-            state = self._attach_arrays(index.points)
-        try:
-            tasks = []
-            for shard, cell_costs in zip(plan.shards, plan.cell_costs):
-                if shard.shape[0] == 0:
-                    continue
-                tasks.append(ShardTask(
-                    key=(len(tasks),), cost=float(cell_costs.sum()),
-                    kind="selfjoin", cells=shard, item_costs=cell_costs))
+        tasks = tasks_from_arrays(plan.shards, plan.cell_costs)
+        with self._attached(self._state_for_points(index.points),
+                            lambda: self._attach_arrays(index.points)) as state:
             ctx = _RequestContext(op="selfjoin_shard", dataset=state.name,
                                   base={
                 "index_eps": float(index.eps), "eps": float(eps),
@@ -687,9 +694,6 @@ class DistributedBackend(ExecutionBackend):
                 "max_candidate_pairs": int(max_candidate_pairs),
                 "chunk_pairs": self.chunk_pairs})
             return self._execute_tasks(endpoints, tasks, ctx, sink)
-        finally:
-            if ephemeral:
-                self._detach_everywhere(state)
 
     def run_probe(self, queries, index, eps, sink, *, rows=None,
                   max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
@@ -697,36 +701,25 @@ class DistributedBackend(ExecutionBackend):
         if rows.shape[0] == 0:
             return KernelStats()
         endpoints = self.endpoints()
-        state = self._state_for_points(index.points)
-        ephemeral = state is None
-        if ephemeral:
-            state = self._attach_arrays(index.points)
-        try:
-            costs = estimate_probe_row_costs(queries[rows], index,
-                                             seed=self.seed)
-            queries_arr = np.asarray(queries, dtype=np.float64)
-            # Workers emit slice-local keys; the task's global row ids
-            # (``cells``) double as the key_map re-basing them at merge
-            # time (each query row crosses the wire once per query copy,
-            # not once per task).
-            tasks = []
-            for group in split_by_cost(costs,
-                                       self._resolved_shards(len(endpoints))):
-                if group.shape[0] == 0:
-                    continue
-                tasks.append(ShardTask(
-                    key=(len(tasks),), cost=float(costs[group].sum()),
-                    kind="probe", cells=rows[group],
-                    item_costs=costs[group].astype(np.float64)))
+        costs = estimate_probe_row_costs(queries[rows], index, seed=self.seed)
+        groups = split_by_cost(costs, self._resolved_shards(len(endpoints)))
+        # Workers emit slice-local keys; the task's global row ids
+        # (``cells``) double as the key_map re-basing them at merge time
+        # (each query row crosses the wire once per query copy, not once
+        # per task).
+        tasks = tasks_from_arrays([rows[g] for g in groups],
+                                  [costs[g].astype(np.float64) for g in groups],
+                                  kind="probe")
+        with self._attached(self._state_for_points(index.points),
+                            lambda: self._attach_arrays(index.points)) as state:
             ctx = _RequestContext(op="probe_shard", dataset=state.name,
-                                  queries=queries_arr, base={
+                                  queries=np.asarray(queries,
+                                                     dtype=np.float64),
+                                  base={
                 "index_eps": float(index.eps), "eps": float(eps),
                 "max_candidate_pairs": int(max_candidate_pairs),
                 "chunk_pairs": self.chunk_pairs})
             return self._execute_tasks(endpoints, tasks, ctx, sink)
-        finally:
-            if ephemeral:
-                self._detach_everywhere(state)
 
     def run_selfjoin_streamed(self, source, eps, sink, *, unicomp=False,
                               max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
@@ -748,11 +741,8 @@ class DistributedBackend(ExecutionBackend):
                              "path-addressable store "
                              "(source.storage_descriptor() is None)")
         endpoints = self.endpoints()
-        state = self._state_for_source(source)
-        ephemeral = state is None
-        if ephemeral:
-            state = self._attach_store(descriptor)
-        try:
+        with self._attached(self._state_for_source(source),
+                            lambda: self._attach_store(descriptor)) as state:
             counts = source.cell_counts.astype(np.float64)
             slices = split_by_cost(counts,
                                    self._resolved_shards(len(endpoints)))
@@ -771,9 +761,6 @@ class DistributedBackend(ExecutionBackend):
                 "max_candidate_pairs": int(max_candidate_pairs),
                 "chunk_pairs": self.chunk_pairs})
             return self._execute_tasks(endpoints, tasks, ctx, sink)
-        finally:
-            if ephemeral:
-                self._detach_everywhere(state)
 
     # ----------------------------------------------------------- dispatch loop
     def _execute_tasks(self, endpoints: Sequence[Address],

@@ -7,17 +7,20 @@ dtype-allow-listed array codec (:mod:`repro.service.protocol`) — so the
 worker channel inherits the service's hard size bounds and
 reject-before-allocation behavior for free.
 
-The lifecycle mirrors the paper's amortization story and the multiprocess
-pool workers (:mod:`repro.parallel.mp`): a dataset is **attached once** —
-either as a :class:`~repro.data.store.SpatialStore` path the worker
-memory-maps locally (the points never cross the wire; a worker co-located
-with the storage reads it at disk speed) or as arrays shipped one time —
-and every subsequent shard request against that dataset reuses the
-worker-local per-ε :class:`~repro.core.gridindex.GridIndex` cache.  Store
+The lifecycle mirrors the paper's amortization story, and the worker-side
+runtime is the one the multiprocess pool workers (:mod:`repro.parallel.mp`)
+run: each attached dataset is a
+:class:`~repro.parallel.shards.ResidentDataset`.  A dataset is **attached
+once** — either as a :class:`~repro.data.store.SpatialStore` path the
+worker memory-maps locally (the points never cross the wire; a worker
+co-located with the storage reads it at disk speed) or as arrays shipped
+one time — and every subsequent shard request against that dataset reuses
+its per-ε :class:`~repro.core.gridindex.GridIndex` cache.  Store
 attachments index the *stored* (B-order) rows and translate emitted ids
-back to original dataset ids through the store's id directory, exactly like
-the store-backed pool workers, so results are bit-identical to in-memory
-execution.
+back to original dataset ids through the store's id directory, so results
+are bit-identical to in-memory execution.  This module keeps only the wire
+side: frame decoding, chunked replies, counters, the deadline and the
+debug sleep.
 
 Shard operations (``selfjoin_shard``, ``probe_shard``, and the
 disk-streamed ``stream_shard``, which runs the
@@ -47,20 +50,16 @@ import asyncio
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.gridindex import GridIndex
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
-from repro.core.result import PairFragments
 from repro.data.store import SpatialStore
-from repro.engine.backends import get_backend
-from repro.parallel.sharded import probe_store_shard
+from repro.parallel.shards import ResidentDataset
 from repro.service import protocol
 from repro.utils.cancellation import (
     CancellationToken,
@@ -68,11 +67,6 @@ from repro.utils.cancellation import (
     cancel_scope,
     check_cancelled,
 )
-
-#: Per-dataset LRU bound on the worker-local per-ε index cache (mirrors
-#: ``WORKER_INDEX_CACHE_SIZE`` of the multiprocess pool workers: the kNN
-#: radius-doubling loop asks for one index per doubled ε).
-INDEX_CACHE_SIZE = 8
 
 #: Default bound on result pairs per streamed ``chunk`` frame; at 16 bytes a
 #: pair this keeps one frame's payload around 4 MB, far under the codec's
@@ -148,30 +142,10 @@ class WorkerStats:
                 "chunks_sent": self.chunks_sent}
 
 
-@dataclass
-class _AttachedDataset:
-    """Worker-resident state of one attached dataset."""
-
-    name: str
-    points: np.ndarray                 # stored (B) order for store attachments
-    ids: Optional[np.ndarray]          # original-id directory (store only)
-    store: Optional[SpatialStore]
-    inner: str                         # backend executed per shard
-    transport: str                     # "store" | "arrays"
-    indexes: "OrderedDict[float, GridIndex]" = field(default_factory=OrderedDict)
-
-    def index_for(self, index_eps: float) -> GridIndex:
-        """Worker-local per-ε index, LRU-cached across shard requests."""
-        key = float(index_eps)
-        index = self.indexes.get(key)
-        if index is None:
-            index = GridIndex.build(self.points, key)
-            self.indexes[key] = index
-            while len(self.indexes) > INDEX_CACHE_SIZE:
-                self.indexes.popitem(last=False)
-        else:
-            self.indexes.move_to_end(key)
-        return index
+#: Shard ops and the :class:`WorkerStats` counter each one advances.
+_SHARD_COUNTERS = {"selfjoin_shard": "shards_executed",
+                   "probe_shard": "probe_shards_executed",
+                   "stream_shard": "stream_shards_executed"}
 
 
 def _interruptible_sleep(seconds: float) -> None:
@@ -225,7 +199,7 @@ class WorkerServer:
         self.debug_shard_sleep_ms = float(debug_shard_sleep_ms)
         self.max_payload = int(max_payload)
         self.stats = WorkerStats()
-        self._datasets: Dict[str, _AttachedDataset] = {}
+        self._datasets: Dict[str, ResidentDataset] = {}
         self._lock = threading.Lock()   # guards _datasets and stats
         self._executor = ThreadPoolExecutor(
             max_workers=int(compute_threads),
@@ -285,7 +259,7 @@ class WorkerServer:
                     await self._send(writer, {"status": protocol.STATUS_OK})
                     self.request_stop()
                     break
-                if op in ("selfjoin_shard", "probe_shard", "stream_shard"):
+                if op in _SHARD_COUNTERS:
                     frames = await loop.run_in_executor(
                         self._executor, self._run_shard_op, header, payload)
                     for fhead, fpayload in frames:
@@ -356,11 +330,8 @@ class WorkerServer:
                             "message": f"store path {str(resolved)!r} is "
                                        f"outside this worker's --store-root "
                                        f"({str(self.store_root)!r})"}
-                store = SpatialStore.open(resolved)
-                state = _AttachedDataset(
-                    name=name, points=store.stored_points(),
-                    ids=np.asarray(store.stored_ids()), store=store,
-                    inner=inner, transport="store")
+                state = ResidentDataset.from_store(
+                    SpatialStore.open(resolved), inner)
             else:
                 arrays = protocol.unpack_arrays(
                     header.get("arrays", []), payload)
@@ -373,23 +344,22 @@ class WorkerServer:
                 if points.ndim != 2:
                     return {"status": protocol.STATUS_ERROR,
                             "message": "attached points must be 2-D"}
-                state = _AttachedDataset(name=name, points=points, ids=None,
-                                         store=None, inner=inner,
-                                         transport="arrays")
+                state = ResidentDataset(points, inner)
         except (OSError, ValueError, protocol.ProtocolError) as exc:
             return {"status": protocol.STATUS_ERROR,
                     "message": f"attach failed: {exc}"}
+        transport = "store" if store_path is not None else "arrays"
         with self._lock:
             self._datasets[name] = state
             self.stats.datasets_attached += 1
-            if state.transport == "store":
+            if store_path is not None:
                 self.stats.datasets_mapped += 1
             else:
                 self.stats.datasets_shipped += 1
         return {"status": protocol.STATUS_OK, "dataset": name,
                 "n_points": int(state.points.shape[0]),
                 "n_dims": int(state.points.shape[1]),
-                "transport": state.transport}
+                "transport": transport}
 
     # --------------------------------------------------------------- shard ops
     def _run_shard_op(self, header: dict,
@@ -423,17 +393,8 @@ class WorkerServer:
                                self.debug_shard_sleep_ms)
                 if sleep_ms > 0:
                     _interruptible_sleep(sleep_ms / 1000.0)
-                if op == "selfjoin_shard":
-                    keys, values, stats = self._compute_selfjoin(state, header,
-                                                                 payload)
-                    counter = "shards_executed"
-                elif op == "probe_shard":
-                    keys, values, stats = self._compute_probe(state, header,
-                                                              payload)
-                    counter = "probe_shards_executed"
-                else:
-                    keys, values, stats = self._compute_stream(state, header)
-                    counter = "stream_shards_executed"
+                keys, values, stats = self._compute(state, op, header,
+                                                    payload)
         except OperationCancelled as exc:
             with self._lock:
                 self.stats.shards_cancelled += 1
@@ -461,63 +422,37 @@ class WorkerServer:
                         "chunks": len(frames),
                         "stats": stats_to_wire(stats)}, b""))
         with self._lock:
+            counter = _SHARD_COUNTERS[op]
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
             self.stats.pairs_returned += int(keys.shape[0])
             self.stats.chunks_sent += len(frames) - 1
         return frames
 
-    def _compute_selfjoin(self, state: _AttachedDataset, header: dict,
-                          payload: bytes):
-        """Self-join one cell shard (the ``_run_session_selfjoin`` recipe)."""
-        arrays = protocol.unpack_arrays(header.get("arrays", []), payload)
-        cells = np.asarray(arrays["cells"], dtype=np.int64)
-        index = state.index_for(float(header["index_eps"]))
-        sink = PairFragments(index.num_points)
-        stats = get_backend(state.inner).run_selfjoin(
-            index, float(header["eps"]), cells, sink,
-            unicomp=bool(header.get("unicomp", False)),
-            max_candidate_pairs=int(header.get("max_candidate_pairs",
-                                               DEFAULT_MAX_CANDIDATE_PAIRS)))
-        keys, values = sink.concatenated()
-        if state.ids is not None:
-            # Store attachment: the index is in stored (B) order; translate
-            # both sides back to original dataset ids.
-            keys, values = state.ids[keys], state.ids[values]
-        return keys, values, stats
+    @staticmethod
+    def _compute(state: ResidentDataset, op: str, header: dict,
+                 payload: bytes):
+        """Decode one shard request and run it on the resident dataset.
 
-    def _compute_probe(self, state: _AttachedDataset, header: dict,
-                       payload: bytes):
-        """Probe a shipped query slice; emitted keys are slice-local rows."""
-        arrays = protocol.unpack_arrays(header.get("arrays", []), payload)
-        queries = np.ascontiguousarray(arrays["queries"], dtype=np.float64)
-        index = state.index_for(float(header["index_eps"]))
-        sink = PairFragments(queries.shape[0])
-        stats = get_backend(state.inner).run_probe(
-            queries, index, float(header["eps"]), sink,
-            max_candidate_pairs=int(header.get("max_candidate_pairs",
-                                               DEFAULT_MAX_CANDIDATE_PAIRS)))
-        keys, values = sink.concatenated()
-        if state.ids is not None:
-            # Only the index side is in stored order; keys stay slice-local
-            # (the parent re-bases them onto the global query rows).
-            values = state.ids[values]
-        return keys, values, stats
-
-    def _compute_stream(self, state: _AttachedDataset, header: dict):
-        """Disk-streamed self-join of one contiguous directory range.
-
-        Runs :func:`~repro.parallel.sharded.probe_store_shard` worker-side
-        against the worker's *own* store mapping; the pairs come back in
-        global (original) ids, so the parent's merge path needs no
-        translation at all.
+        A probe request ships its query slice, so the emitted keys are
+        slice-local rows (the parent re-bases them); a stream request names
+        a store-directory range read from this worker's own mapping.
         """
-        if state.store is None:
-            raise ValueError("stream_shard requires a store-attached dataset "
-                             f"({state.name!r} was shipped as arrays)")
-        return probe_store_shard(
-            state.store, int(header["lo"]), int(header["hi"]),
-            float(header["eps"]), get_backend(state.inner),
-            int(header.get("max_candidate_pairs", DEFAULT_MAX_CANDIDATE_PAIRS)))
+        max_candidate_pairs = int(header.get("max_candidate_pairs",
+                                             DEFAULT_MAX_CANDIDATE_PAIRS))
+        if op == "stream_shard":
+            return state.stream(int(header["lo"]), int(header["hi"]),
+                                float(header["eps"]), max_candidate_pairs)
+        arrays = protocol.unpack_arrays(header.get("arrays", []), payload)
+        if op == "selfjoin_shard":
+            return state.selfjoin(
+                float(header["index_eps"]),
+                np.asarray(arrays["cells"], dtype=np.int64),
+                float(header["eps"]), bool(header.get("unicomp", False)),
+                max_candidate_pairs)
+        return state.probe(
+            float(header["index_eps"]), float(header["eps"]),
+            np.ascontiguousarray(arrays["queries"], dtype=np.float64), None,
+            max_candidate_pairs)
 
 
 class WorkerThread:

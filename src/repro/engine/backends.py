@@ -40,7 +40,7 @@ decomposition, and keyword arguments are accepted too:
 is *lazy*: a backend whose optional dependency is missing stays listed in
 :func:`list_backends` but raises a clear :class:`BackendUnavailableError`
 from :func:`get_backend`; :func:`backend_availability` reports every
-backend's status (groundwork for a CuPy-gated real-GPU backend).
+backend's status.
 """
 
 from __future__ import annotations
@@ -754,7 +754,3 @@ class BruteForceBackend(ExecutionBackend):
 register_lazy_backend("sharded", "repro.parallel.sharded")
 register_lazy_backend("multiprocess", "repro.parallel.mp")
 register_lazy_backend("distributed", "repro.distributed.backend")
-# Real-GPU backend: listed for discoverability even where CuPy is absent —
-# backend_availability() reports it as registered-but-unavailable with the
-# missing dependency instead of an unknown-name KeyError.
-register_lazy_backend("cupy", "repro.parallel.cupy_backend", requires="cupy")

@@ -15,14 +15,15 @@ multi-core speedups on that exact decomposition:
   path, exercised without concurrency.
 * :class:`~repro.parallel.mp.MultiprocessBackend` (``multiprocess``) runs
   the same shards on a ``multiprocessing`` pool; fragments return as plain
-  arrays.  One-shot calls ship the dataset to each worker once via the pool
-  initializer; inside an :class:`~repro.engine.session.EngineSession` the
-  backend instead keeps a *persistent pool keyed by dataset identity* with
-  a ``multiprocessing.shared_memory`` view of the points array, so repeated
-  queries pay neither pool start-up nor dataset shipping.
-* :mod:`~repro.parallel.cupy_backend` (``cupy``, lazily registered) is the
-  real-GPU backend seam: it is listed by the registry everywhere, reported
-  unavailable with the missing dependency where CuPy is not installed.
+  arrays.  Inside an :class:`~repro.engine.session.EngineSession` the
+  backend keeps a *persistent pool keyed by dataset identity* with a
+  ``multiprocessing.shared_memory`` view of the points array, so repeated
+  queries pay neither pool start-up nor dataset shipping; a one-shot call
+  runs on an ephemeral pool of the same kind.
+* :class:`~repro.parallel.shards.ResidentDataset` is the worker side of
+  both concurrent backends: the dataset held once per worker, a per-ε
+  index cache and the self-join / probe / streamed shard bodies, shared by
+  the pool workers and the ``distributed`` TCP workers.
 * :mod:`~repro.parallel.scheduler` is the **adaptive scheduling layer**
   shared by the concurrent backends: plans oversplit into
   ``OVERSPLIT_FACTOR`` shards per worker and workers *pull* the next shard

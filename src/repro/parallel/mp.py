@@ -2,13 +2,14 @@
 
 :class:`MultiprocessBackend` executes the same cost-balanced shard
 decomposition as :class:`repro.parallel.sharded.ShardedBackend`, but runs
-the shards on a ``multiprocessing`` pool.  Workers rebuild the
-:class:`~repro.core.gridindex.GridIndex` locally — index construction is a
-sort plus a run-length encoding, orders of magnitude cheaper than the join
-— which guarantees bit-identical ``B`` ordering without pickling the index
-arrays.  Workers return their shard's pair fragments as two plain int64
-arrays (cheap to pickle); the parent emits them into the caller's sink, so
-the merge path is identical to the serial sharded backend's.
+the shards on a ``multiprocessing`` pool.  Each worker holds the dataset
+once as a :class:`~repro.parallel.shards.ResidentDataset` and rebuilds the
+:class:`~repro.core.gridindex.GridIndex` locally per ε — index construction
+is a sort plus a run-length encoding, orders of magnitude cheaper than the
+join — which guarantees bit-identical ``B`` ordering without pickling the
+index arrays.  Workers return their shard's pair fragments as two plain
+int64 arrays (cheap to pickle); the parent emits them into the caller's
+sink, so the merge path is identical to the serial sharded backend's.
 
 Scheduling is **pull-based** (see :mod:`repro.parallel.scheduler`): the
 planner oversplits into ``OVERSPLIT_FACTOR`` (~4×) shards per worker,
@@ -16,31 +17,27 @@ dispatch goes largest-cost-first through ``imap_unordered(chunksize=1)``,
 and each pool worker fetches its next shard the moment it finishes one — a
 slow worker simply pulls fewer shards while fast peers absorb its share.
 Completions arrive in any order; the parent buffers them and emits strictly
-in shard-id (B) order, so results stay bit-identical to the serial sharded
+in shard-key (B) order, so results stay bit-identical to the serial sharded
 run regardless of which worker ran what.  The observed schedule (per-worker
 throughput, steals beyond fair share, achieved-vs-predicted cost ratio) is
 reported in ``KernelStats.schedule_counts`` and ``backend.last_schedule``.
 
-Two execution modes share those worker kernels:
-
-**One-shot** (no session): a fresh pool per operator call, the dataset
-shipped to each worker once through the pool *initializer*.  This is the
-original PR-2 path, kept as the fallback and for callers outside a session.
-
-**Session-attached** (the engine lifecycle of
+Every call runs on a **session pool** (the engine lifecycle of
 :class:`repro.engine.session.EngineSession`): :meth:`attach` creates a
 *persistent pool keyed by dataset identity* plus a
 ``multiprocessing.shared_memory`` segment holding the points array; every
 worker maps the segment read-only (O(1) worker memory in dataset size,
 ``track=False`` on Python ≥ 3.13, a resource-tracker unregister workaround
-below that, and a guarded fallback to the initializer-pickle path where
-shared memory is unusable).  Subsequent queries of the session — including
-kNN radius-doubling rounds at new ε, which workers index-cache locally —
-dispatch onto the warm pool with **no pool creation and no dataset
-re-shipping**.  :meth:`detach` parks the pool on an LRU idle list
+below that, and a guarded fallback to pickled pool-initializer arguments
+where shared memory is unusable).  Subsequent queries of the session —
+including kNN radius-doubling rounds at new ε, which workers index-cache
+locally — dispatch onto the warm pool with **no pool creation and no
+dataset re-shipping**.  :meth:`detach` parks the pool on an LRU idle list
 (``max_idle`` deep) so a follow-up session over the same dataset revives
 it; evicted or shut-down pools release their shared memory, and an
-``atexit`` hook tears down whatever is still alive at interpreter exit.
+``atexit`` hook tears down whatever is still alive at interpreter exit.  A
+one-shot call outside a session gets an ephemeral pool of the same kind,
+shut down when the call returns.
 
 When the session's dataset is an **on-disk source** (a
 :class:`~repro.data.store.SpatialStore`), no shared-memory copy is created
@@ -62,6 +59,7 @@ the paper's framing of fully independent batches.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -76,9 +74,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.batching import estimate_probe_row_costs, split_by_cost
-from repro.core.gridindex import GridIndex
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
-from repro.core.result import PairFragments
 from repro.core.nativekernels import parse_kernel_spec
 from repro.engine.backends import (
     ExecutionBackend,
@@ -89,38 +85,30 @@ from repro.engine.backends import (
 )
 from repro.parallel.scheduler import (
     OVERSPLIT_FACTOR,
-    ShardTask,
+    dispatch_order,
     pool_schedule_report,
+    tasks_from_arrays,
 )
-from repro.parallel.shards import ShardPlanner, default_worker_count
+from repro.parallel.shards import (
+    ResidentDataset,
+    ShardPlanner,
+    default_worker_count,
+)
 
 try:
     from multiprocessing import shared_memory as _shm
 except ImportError:  # pragma: no cover - platforms without shm support
     _shm = None
 
-#: Environment override for the pool start method (``fork`` / ``spawn`` /
-#: ``forkserver``); the platform default when unset.
-START_METHOD_ENV_VAR = "REPRO_MP_START_METHOD"
-
 #: ``SharedMemory`` grew ``track=`` in Python 3.13; below that, attaching a
 #: segment registers it with the resource tracker, which would warn at exit
 #: and unlink a segment the parent still owns (see :func:`_attach_shared_view`).
 _SHM_HAS_TRACK = sys.version_info >= (3, 13)
 
-#: LRU bound on the per-worker index cache of a persistent pool (the kNN
-#: radius-doubling loop asks for one index per doubled ε).
-WORKER_INDEX_CACHE_SIZE = 8
-
-# Per-worker state installed by the one-shot pool initializer: the rebuilt
-# grid index, the probe-side query points, the inner backend and the kernel
-# chunk bound.  Plain module globals — each worker process has its own copy.
-_WORKER: dict = {}
-
-# Per-worker state of a *persistent* (session) pool: the dataset (a
-# shared-memory view or the pickled fallback), an ε-keyed local index cache
-# and the inner backend name.
-_SESSION_WORKER: dict = {}
+# Per-worker state installed by the pool initializer: the resident dataset
+# and, on the shared-memory transport, the segment backing its points.
+# Plain module globals — each worker process has its own copy.
+_RESIDENT: dict = {}
 
 
 def _restore_default_sigterm() -> None:
@@ -135,54 +123,7 @@ def _restore_default_sigterm() -> None:
 
 
 # --------------------------------------------------------------------------
-# one-shot worker kernels (fresh pool per operator call)
-# --------------------------------------------------------------------------
-def _init_worker(points: np.ndarray, queries: Optional[np.ndarray],
-                 index_eps: float, inner: str, max_candidate_pairs: int) -> None:
-    """Pool initializer: receive the dataset once, rebuild the index locally."""
-    _restore_default_sigterm()
-    _WORKER["index"] = GridIndex.build(points, index_eps)
-    _WORKER["queries"] = queries
-    _WORKER["backend"] = get_backend(inner)
-    _WORKER["max_candidate_pairs"] = int(max_candidate_pairs)
-
-
-def _run_selfjoin_shard(task):
-    """Worker task: self-join one cell shard, return its flat pair arrays.
-
-    Every worker kernel returns ``(shard_id, keys, values, stats, pid,
-    duration)``: the shard id keys the parent's deterministic B-order merge
-    (tasks complete in *pull* order, not plan order), and the pid/duration
-    pair feeds :func:`repro.parallel.scheduler.pool_schedule_report`.
-    """
-    shard_id, cells, eps, unicomp = task
-    started = time.perf_counter()
-    index = _WORKER["index"]
-    sink = PairFragments(index.num_points)
-    stats = _WORKER["backend"].run_selfjoin(
-        index, eps, cells, sink, unicomp=unicomp,
-        max_candidate_pairs=_WORKER["max_candidate_pairs"])
-    keys, values = sink.concatenated()
-    return shard_id, keys, values, stats, os.getpid(), \
-        time.perf_counter() - started
-
-
-def _run_probe_shard(task):
-    """Worker task: probe one row group, return its flat pair arrays."""
-    shard_id, rows, eps, num_rows = task
-    started = time.perf_counter()
-    index = _WORKER["index"]
-    sink = PairFragments(num_rows)
-    stats = _WORKER["backend"].run_probe(
-        _WORKER["queries"], index, eps, sink, rows=rows,
-        max_candidate_pairs=_WORKER["max_candidate_pairs"])
-    keys, values = sink.concatenated()
-    return shard_id, keys, values, stats, os.getpid(), \
-        time.perf_counter() - started
-
-
-# --------------------------------------------------------------------------
-# persistent-pool worker kernels (session lifecycle)
+# pool worker side
 # --------------------------------------------------------------------------
 def _attach_shared_view(name: str, shape: Tuple[int, ...],
                         dtype: str) -> Tuple[object, np.ndarray]:
@@ -223,7 +164,7 @@ def _attach_shared_view(name: str, shape: Tuple[int, ...],
 def _init_session_worker(shm_name: Optional[str], shape, dtype,
                          pickled_points: Optional[np.ndarray],
                          inner: str, store_path: Optional[str] = None) -> None:
-    """Persistent-pool initializer: map (or receive) the dataset once.
+    """Pool initializer: map (or receive) the dataset once.
 
     Three dataset transports, in order of preference: an on-disk store
     (``store_path`` — the worker memory-maps the B-ordered file and keeps
@@ -231,97 +172,33 @@ def _init_session_worker(shm_name: Optional[str], shape, dtype,
     segment (``shm_name``), or the pickled-initargs fallback.
     """
     _restore_default_sigterm()
-    ids = None
     if store_path is not None:
         from repro.data.store import SpatialStore
 
-        store = SpatialStore.open(store_path)
-        points = store.stored_points()  # read-only memmap, stored (B) order
-        ids = store.stored_ids()
+        dataset = ResidentDataset.from_store(SpatialStore.open(store_path),
+                                             inner)
     elif shm_name is not None:
         shm, points = _attach_shared_view(shm_name, shape, dtype)
-        _SESSION_WORKER["shm"] = shm  # keep the mapping alive
+        _RESIDENT["shm"] = shm  # keep the mapping alive
+        dataset = ResidentDataset(points, inner)
     else:
-        points = pickled_points
-    _SESSION_WORKER["points"] = points
-    _SESSION_WORKER["ids"] = ids
-    _SESSION_WORKER["indexes"] = OrderedDict()
-    _SESSION_WORKER["inner"] = inner
+        dataset = ResidentDataset(pickled_points, inner)
+    _RESIDENT["dataset"] = dataset
 
 
-def _session_index(index_eps: float) -> GridIndex:
-    """Worker-local index for ``index_eps``, LRU-cached across tasks.
+def _run_task(task):
+    """Pool task: run one shard method of the worker's resident dataset.
 
-    Mirrors the parent session's per-ε cache: a warm pool queried at a new ε
-    (a radius-doubling round, a sweep step) rebuilds the index locally once
-    and then serves every later shard of any query at that ε from cache.
+    ``task`` is ``(shard_key, method, args)``.  Returns ``(shard_key, keys,
+    values, stats, pid, duration)``: the key orders the parent's
+    deterministic B-order merge (tasks complete in *pull* order, not plan
+    order), and the pid/duration pair feeds
+    :func:`repro.parallel.scheduler.pool_schedule_report`.
     """
-    cache: OrderedDict = _SESSION_WORKER["indexes"]
-    key = float(index_eps)
-    index = cache.get(key)
-    if index is None:
-        index = GridIndex.build(_SESSION_WORKER["points"], key)
-        cache[key] = index
-        while len(cache) > WORKER_INDEX_CACHE_SIZE:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return index
-
-
-def _run_session_selfjoin(task):
-    """Persistent-pool task: self-join one cell shard of the session dataset.
-
-    A store-backed worker indexes the *stored* (B-order) rows; the grid —
-    and therefore the shard cell numbering — is identical to the parent's
-    original-order index (same point set, same ε), but emitted ids are
-    stored-row positions and are translated back to original dataset ids
-    through the store's id directory before returning.
-    """
-    shard_id, index_eps, cells, eps, unicomp, max_candidate_pairs = task
+    key, method, args = task
     started = time.perf_counter()
-    index = _session_index(index_eps)
-    sink = PairFragments(index.num_points)
-    stats = get_backend(_SESSION_WORKER["inner"]).run_selfjoin(
-        index, eps, cells, sink, unicomp=unicomp,
-        max_candidate_pairs=int(max_candidate_pairs))
-    keys, values = sink.concatenated()
-    ids = _SESSION_WORKER["ids"]
-    if ids is not None:
-        keys, values = np.asarray(ids)[keys], np.asarray(ids)[values]
-    return shard_id, keys, values, stats, os.getpid(), \
-        time.perf_counter() - started
-
-
-def _run_session_probe(task):
-    """Persistent-pool task: probe one row group against the session dataset.
-
-    ``queries is None`` means the probe side *is* the session dataset (the
-    self-kNN / range-over-self case): it resolves to the shared view and
-    ``rows`` are global row indices, so the probe points never travel
-    through a pickle.  An *external* query set arrives as just this task's
-    row-group slice (``rows is None``) — the emitted keys are then local to
-    the slice and the parent re-bases them onto the global rows, so each
-    query row is pickled exactly once per query, not once per task.
-    """
-    shard_id, index_eps, rows, eps, num_rows, queries, max_candidate_pairs = task
-    started = time.perf_counter()
-    index = _session_index(index_eps)
-    if queries is None:
-        queries = _SESSION_WORKER["points"]
-    sink = PairFragments(num_rows)
-    stats = get_backend(_SESSION_WORKER["inner"]).run_probe(
-        queries, index, eps, sink, rows=rows,
-        max_candidate_pairs=int(max_candidate_pairs))
-    keys, values = sink.concatenated()
-    ids = _SESSION_WORKER["ids"]
-    if ids is not None:
-        # Store-backed worker: the index side is in stored (B) order, so
-        # the *values* translate through the id directory.  The keys are
-        # probe-slice rows (store sessions always ship probe slices) and
-        # are re-based by the parent.
-        values = np.asarray(ids)[values]
-    return shard_id, keys, values, stats, os.getpid(), \
+    keys, values, stats = getattr(_RESIDENT["dataset"], method)(*args)
+    return key, keys, values, stats, os.getpid(), \
         time.perf_counter() - started
 
 
@@ -344,7 +221,7 @@ def _full_digest(points: np.ndarray) -> str:
 class _SessionPool:
     """One persistent pool plus the dataset resources it holds."""
 
-    key: tuple
+    key: Optional[tuple]   # None: an ephemeral one-shot pool
     pool: multiprocessing.pool.Pool
     n_workers: int
     worker_pids: Tuple[int, ...]
@@ -385,8 +262,8 @@ class MultiprocessStats:
     pools_revived: int = 0
     pools_shut_down: int = 0
     #: Times the full dataset entered pool-initializer args (pickled under
-    #: ``spawn``, copied-on-write under ``fork``): one-shot calls and the
-    #: shared-memory fallback.  Zero on the zero-copy path.
+    #: ``spawn``, copied-on-write under ``fork``): the fallback where shared
+    #: memory is unusable.  Zero on the zero-copy path.
     datasets_shipped: int = 0
     #: Times a pool's workers memory-mapped an on-disk store instead of
     #: receiving a shared-memory (or pickled) copy of the points.
@@ -454,22 +331,15 @@ class MultiprocessBackend(ExecutionBackend):
     n_shards:
         Shard count (``n_workers * scheduler.OVERSPLIT_FACTOR`` when
         omitted — the pull queue's rebalancing slack).
-    start_method:
-        ``multiprocessing`` start method override.
     max_idle:
         How many detached session pools to keep warm for revival (LRU);
         ``0`` shuts a pool down on the last detach.
-    use_shared_memory:
-        Ship session datasets through ``multiprocessing.shared_memory``
-        (zero-copy, O(1) worker memory); falls back to initializer pickling
-        when unavailable.  On-disk sources skip shared memory entirely —
-        workers map the store file instead.
     seed:
         RNG seed for the sampled cost estimates behind the shard and
         probe-row decompositions, so plans are reproducible from one knob:
         ``MultiprocessBackend(seed=11)``, or in a registry spec —
         ``multiprocess(4, seed=11)`` (positionally every earlier argument
-        must be spelled out; ``1``/``0`` stand in for the booleans).
+        must be spelled out: ``multiprocess(4, vectorized, 16, 2, 11)``).
     kernel:
         Kernel-tier spec threaded into the inner backend (see
         :mod:`repro.core.nativekernels`): ``multiprocess(4, kernel=numba)``
@@ -484,9 +354,7 @@ class MultiprocessBackend(ExecutionBackend):
     def __init__(self, n_workers: Optional[int] = None,
                  inner: str = "vectorized",
                  n_shards: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  max_idle: int = 2,
-                 use_shared_memory: bool = True,
                  seed: int = 0,
                  kernel: str = "auto") -> None:
         if n_workers is not None and int(n_workers) < 1:
@@ -500,9 +368,7 @@ class MultiprocessBackend(ExecutionBackend):
         # through the initializer args unchanged.
         self.inner_name = compose_kernel_spec(str(inner), self.kernel_spec)
         self.n_shards = int(n_shards) if n_shards is not None else None
-        self.start_method = start_method
         self.max_idle = int(max_idle)
-        self.use_shared_memory = bool(use_shared_memory)
         self.seed = int(seed)
         self.stats = MultiprocessStats()
         #: :class:`~repro.parallel.scheduler.ScheduleReport` of the most
@@ -532,10 +398,6 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _resolved_shards(self, n_workers: int) -> int:
         return self.n_shards or n_workers * OVERSPLIT_FACTOR
-
-    def _context(self):
-        method = self.start_method or os.environ.get(START_METHOD_ENV_VAR)
-        return multiprocessing.get_context(method)
 
     # ------------------------------------------------------ session lifecycle
     @staticmethod
@@ -634,10 +496,10 @@ class MultiprocessBackend(ExecutionBackend):
         """Whether a detached pool for the session's dataset is kept warm."""
         return self._pool_key(session) in self._idle
 
-    def _create_session_pool(self, key: tuple, points: np.ndarray,
-                             store_path: Optional[str] = None) -> _SessionPool:
-        n_workers = self._resolved_workers()
-        ctx = self._context()
+    def _create_session_pool(self, key: Optional[tuple], points: np.ndarray,
+                             store_path: Optional[str] = None,
+                             n_workers: Optional[int] = None) -> _SessionPool:
+        n_workers = n_workers or self._resolved_workers()
         shm = None
         if store_path is not None:
             # On-disk source: workers map the store file themselves — no
@@ -645,29 +507,26 @@ class MultiprocessBackend(ExecutionBackend):
             initargs = (None, None, None, None, self.inner_name, store_path)
             self.stats.datasets_mapped += 1
         else:
-            if self.use_shared_memory and _shm is not None and points.nbytes > 0:
+            if _shm is not None and points.nbytes > 0:
                 try:
                     shm = _shm.SharedMemory(create=True, size=points.nbytes)
                 except OSError:  # pragma: no cover - no /dev/shm etc.
-                    shm = None
-                else:
-                    view = np.ndarray(points.shape, dtype=points.dtype,
-                                      buffer=shm.buf)
-                    view[:] = points
-                    self.stats.shm_segments_created += 1
+                    pass
             if shm is not None:
+                np.ndarray(points.shape, dtype=points.dtype,
+                           buffer=shm.buf)[:] = points
+                self.stats.shm_segments_created += 1
                 initargs = (shm.name, points.shape, str(points.dtype), None,
                             self.inner_name)
             else:
-                # Guarded fallback: the one-time initializer shipping of the
-                # original one-shot path (still once per worker, not per
-                # query).
+                # Guarded fallback: ship the points in the initializer args
+                # (still once per worker, not per query).
                 initargs = (None, None, None, points, self.inner_name)
                 self.stats.datasets_shipped += 1
         try:
-            pool = ctx.Pool(processes=n_workers,
-                            initializer=_init_session_worker,
-                            initargs=initargs)
+            pool = multiprocessing.Pool(processes=n_workers,
+                                        initializer=_init_session_worker,
+                                        initargs=initargs)
         except Exception:
             # Pool creation failed (fork pressure, process limits): the
             # dataset segment must not outlive this attempt.
@@ -697,10 +556,28 @@ class MultiprocessBackend(ExecutionBackend):
                 return state
         return None
 
-    # ------------------------------------------------------------- operators
-    def _drain_pool(self, pool, worker_fn, tasks, costs, sink, n_workers: int,
-                    key_maps=None) -> KernelStats:
-        """Pull-dispatch ``tasks`` onto ``pool``; merge in shard-id order.
+    @contextlib.contextmanager
+    def _pool_for(self, points: np.ndarray, n_tasks: int):
+        """The session pool for ``points``, else an ephemeral one.
+
+        A one-shot call outside a session runs on a pool of the session
+        kind, created for this call (no more workers than tasks) and shut
+        down when it returns; use a session to amortize pool start-up.
+        """
+        state = self._session_pool_for(points)
+        if state is not None:
+            yield state
+            return
+        state = self._create_session_pool(
+            None, points, n_workers=min(self._resolved_workers(), n_tasks))
+        try:
+            yield state
+        finally:
+            self._shutdown_pool(state)
+
+    def _drain_pool(self, state: _SessionPool, tasks, build, sink,
+                    rebase: bool = False) -> KernelStats:
+        """Pull-dispatch ``tasks`` onto the pool; merge in shard-key order.
 
         The pool's internal task queue is the pull mechanism: with
         ``chunksize=1`` and ``imap_unordered`` each worker fetches its next
@@ -708,138 +585,86 @@ class MultiprocessBackend(ExecutionBackend):
         fewer shards while fast peers absorb the rest.  Dispatch order is
         **largest cost first** (the tail of the join is then made of small
         shards); completions arrive in any order and are buffered until
-        emitted strictly in shard-id (B) order, so the merged pair stream is
-        bit-identical to the serial sharded run.
+        emitted strictly in shard-key (B) order, so the merged pair stream
+        is bit-identical to the serial sharded run.
 
-        ``key_maps`` (aligned with ``tasks`` by shard id) re-bases a task's
-        locally keyed result rows onto global row ids (``None``: as-is).
+        ``build(task)`` gives the ``(method, args)`` of the task's
+        :class:`~repro.parallel.shards.ResidentDataset` call.  ``rebase``
+        maps a probe task's slice-local result rows onto its global rows
+        (``task.cells``).
         """
         stats = KernelStats()
-        order = sorted(range(len(tasks)),
-                       key=lambda i: (-float(costs[i]), i))
+        self.stats.tasks_dispatched += len(tasks)
         executions: List[Tuple[Tuple[int, ...], str, float]] = []
-        results: Dict[int, Tuple[np.ndarray, np.ndarray, KernelStats]] = {}
-        for shard_id, keys, values, shard_stats, pid, duration in \
-                pool.imap_unordered(worker_fn, [tasks[i] for i in order],
-                                    chunksize=1):
-            results[shard_id] = (keys, values, shard_stats)
-            executions.append(((shard_id,), f"pid-{pid}", float(duration)))
-        for i in range(len(tasks)):
-            keys, values, shard_stats = results[i]
-            if key_maps is not None and key_maps[i] is not None:
-                keys = key_maps[i][keys]
+        results: Dict[Tuple[int, ...], tuple] = {}
+        for key, keys, values, shard_stats, pid, duration in \
+                state.pool.imap_unordered(
+                    _run_task, [(task.key,) + build(task)
+                                for task in dispatch_order(tasks)],
+                    chunksize=1):
+            results[key] = (keys, values, shard_stats)
+            executions.append((key, f"pid-{pid}", float(duration)))
+        for task in tasks:
+            keys, values, shard_stats = results[task.key]
+            if rebase:
+                keys = task.cells[keys]
             sink.emit(keys, values)
             stats.merge(shard_stats)
         report = pool_schedule_report(
-            [ShardTask(key=(i,), cost=float(costs[i]))
-             for i in range(len(tasks))],
-            sorted(executions), n_workers,
+            tasks, sorted(executions), state.n_workers,
             achieved_cost=float(stats.distance_calcs))
         stats.schedule_counts = report.counts()
         self.stats.shards_stolen += report.steals
         self.last_schedule = report
         return stats
 
-    def _run_pool(self, initargs, worker_fn, tasks, costs, sink,
-                  n_workers: int) -> KernelStats:
-        """One-shot path: run ``tasks`` on a fresh pool, merge into ``sink``."""
-        if not tasks:
-            return KernelStats()
-        n_workers = max(1, min(n_workers, len(tasks)))
-        ctx = self._context()
-        self.stats.datasets_shipped += 1
-        self.stats.tasks_dispatched += len(tasks)
-        with ctx.Pool(processes=n_workers, initializer=_init_worker,
-                      initargs=initargs) as pool:
-            self.stats.pools_created += 1
-            stats = self._drain_pool(pool, worker_fn, tasks, costs, sink,
-                                     n_workers)
-        self.stats.pools_shut_down += 1
-        return stats
-
-    def _run_session_tasks(self, state: _SessionPool, worker_fn, tasks,
-                           costs, sink, key_maps=None) -> KernelStats:
-        """Persistent path: dispatch onto the warm pool, merge into ``sink``."""
-        if not tasks:
-            return KernelStats()
-        self.stats.tasks_dispatched += len(tasks)
-        return self._drain_pool(state.pool, worker_fn, tasks, costs, sink,
-                                state.n_workers, key_maps=key_maps)
-
+    # ------------------------------------------------------------- operators
     def run_selfjoin(self, index, eps, cells, sink, *, unicomp=False,
                      max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS,
                      device=None, threads_per_block=256) -> KernelStats:
-        n_workers = self._resolved_workers()
-        plan = ShardPlanner(n_shards=self._resolved_shards(n_workers),
-                            seed=self.seed).plan(index, cells)
-        shards, costs = [], []
-        for shard, cost in zip(plan.shards, plan.estimated_costs):
-            if shard.shape[0]:
-                shards.append(shard)
-                costs.append(float(cost))
-
-        state = self._session_pool_for(index.points)
-        if state is not None:
-            tasks = [(i, float(index.eps), shard, float(eps), bool(unicomp),
-                      int(max_candidate_pairs))
-                     for i, shard in enumerate(shards)]
-            return self._run_session_tasks(state, _run_session_selfjoin,
-                                           tasks, costs, sink)
-
-        tasks = [(i, shard, float(eps), bool(unicomp))
-                 for i, shard in enumerate(shards)]
-        initargs = (index.points, None, float(index.eps), self.inner_name,
-                    int(max_candidate_pairs))
-        return self._run_pool(initargs, _run_selfjoin_shard, tasks, costs,
-                              sink, n_workers)
+        plan = ShardPlanner(
+            n_shards=self._resolved_shards(self._resolved_workers()),
+            seed=self.seed).plan(index, cells)
+        tasks = tasks_from_arrays(plan.shards, plan.cell_costs)
+        if not tasks:
+            return KernelStats()
+        args = (float(eps), bool(unicomp), int(max_candidate_pairs))
+        with self._pool_for(index.points, len(tasks)) as state:
+            return self._drain_pool(
+                state, tasks,
+                lambda t: ("selfjoin", (float(index.eps), t.cells) + args),
+                sink)
 
     def run_probe(self, queries, index, eps, sink, *, rows=None,
                   max_candidate_pairs=DEFAULT_MAX_CANDIDATE_PAIRS) -> KernelStats:
         rows = _probe_rows(queries, rows)
         if rows.shape[0] == 0:
             return KernelStats()
-        n_workers = self._resolved_workers()
         row_costs = estimate_probe_row_costs(queries[rows], index,
                                              seed=self.seed)
-        groups, costs = [], []
-        for group in split_by_cost(row_costs,
-                                   self._resolved_shards(n_workers)):
-            if group.shape[0]:
-                groups.append(rows[group])
-                costs.append(float(row_costs[group].sum()))
-
-        state = self._session_pool_for(index.points)
-        if state is not None:
+        groups = split_by_cost(
+            row_costs, self._resolved_shards(self._resolved_workers()))
+        tasks = tasks_from_arrays([rows[g] for g in groups],
+                                  [row_costs[g] for g in groups],
+                                  kind="probe")
+        head = (float(index.eps), float(eps))
+        mcp = int(max_candidate_pairs)
+        with self._pool_for(index.points, len(tasks)) as state:
             if queries is index.points and state.store_path is None:
-                # The session dataset probing itself (self-kNN,
-                # range-over-self) resolves to the workers' shared view:
-                # nothing but the row ids travels.
-                tasks = [(i, float(index.eps), group, float(eps),
-                          sink.num_rows, None, int(max_candidate_pairs))
-                         for i, group in enumerate(groups)]
-                key_maps = None
-            else:
-                # External query set — and *any* probe on a store-backed
-                # pool, whose workers hold the dataset in stored (B) order
-                # and so cannot resolve original-order row ids: ship each
-                # task only its own row-group slice (each query row pickled
-                # once per query, not once per task); workers emit
-                # slice-local keys that are re-based onto the global rows
-                # here.
-                queries_arr = np.asarray(queries, dtype=np.float64)
-                tasks = [(i, float(index.eps), None, float(eps),
-                          sink.num_rows, queries_arr[group],
-                          int(max_candidate_pairs))
-                         for i, group in enumerate(groups)]
-                key_maps = groups
-            return self._run_session_tasks(state, _run_session_probe,
-                                           tasks, costs, sink,
-                                           key_maps=key_maps)
-
-        tasks = [(i, group, float(eps), sink.num_rows)
-                 for i, group in enumerate(groups)]
-        initargs = (index.points, np.asarray(queries, dtype=np.float64),
-                    float(index.eps), self.inner_name,
-                    int(max_candidate_pairs))
-        return self._run_pool(initargs, _run_probe_shard, tasks, costs,
-                              sink, n_workers)
+                # The dataset probing itself (self-kNN, range-over-self)
+                # resolves to the workers' resident points: nothing but
+                # the row ids travels.
+                return self._drain_pool(
+                    state, tasks,
+                    lambda t: ("probe", head + (None, t.cells, mcp)), sink)
+            # External query set — and *any* probe on a store-backed pool,
+            # whose workers hold the dataset in stored (B) order and so
+            # cannot resolve original-order row ids: ship each task only
+            # its own row-group slice (each query row pickled once per
+            # query, not once per task); workers emit slice-local keys that
+            # are re-based onto the global rows here.
+            queries_arr = np.asarray(queries, dtype=np.float64)
+            return self._drain_pool(
+                state, tasks,
+                lambda t: ("probe", head + (queries_arr[t.cells], None, mcp)),
+                sink, rebase=True)

@@ -34,11 +34,13 @@ DistributedBackend` drives the full event loop; the
 reporting halves (its ``multiprocessing.Pool`` task queue *is* the pull
 mechanism) via :func:`pool_schedule_report`.
 
-Results stay **bit-identical** to static assignment no matter the
-completion order: every fragment is keyed by its hierarchical shard key,
-and :class:`OrderedShardMerger` emits accepted fragments into the caller's
-sink strictly in B-order shard order — a split shard's halves emit, in
-order, exactly where the unsplit shard would have.
+Results do not depend on completion order: every fragment is keyed by its
+hierarchical shard key, and :class:`OrderedShardMerger` emits accepted
+fragments into the caller's sink strictly in B-order shard order — a split
+shard's halves emit, in order, where the unsplit shard would have.  The
+pair multiset, and so the CSR result, is the same as under static
+assignment; the raw pair order is too, unless a resplit half wins its race
+(see :meth:`ShardTask.split`).
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class ShardTask:
     two contiguous halves.  The family of key ``(i, ...)`` is *covered* when
     either the original or both halves complete, and
     :class:`OrderedShardMerger` emits whichever covering set won, in key
-    order — so the merged pair stream is identical either way.
+    order — so the merged pairs are the same multiset either way.
 
     ``cells`` holds the shard's cell ids (self-joins) or global query-row
     ids (probes); ``span`` holds the ``[lo, hi)`` store-directory range of a
@@ -123,9 +125,11 @@ class ShardTask:
         """Split into two contiguous halves at the cost-weighted midpoint.
 
         The boundary is a *B-order* boundary: both halves stay contiguous
-        slices of the parent's cell (or row / directory) sequence, so
-        emitting child 0 then child 1 reproduces the parent's pair stream
-        exactly.
+        slices of the parent's cell (or row / directory) sequence, so child
+        0 then child 1 emit the parent's pairs — the same multiset, and so
+        the same CSR result.  They do not reproduce the parent's raw pair
+        order: the vectorized kernels emit offset-major over the whole cell
+        list of the shard they run, so two halves interleave differently.
         """
         if not self.splittable():
             raise ValueError(f"task {self.key} is not splittable")
@@ -314,8 +318,7 @@ class _Worker:
         return float(sum(t.cost for t in self.queue))
 
     def push(self, task: ShardTask) -> None:
-        self.queue.append(task)
-        self.queue.sort(key=lambda t: (-t.cost, t.key))
+        self.queue = dispatch_order(self.queue + [task])
 
     def rate(self, fallback: float) -> float:
         return self.ewma if self.ewma is not None else fallback
@@ -727,9 +730,11 @@ class OrderedShardMerger:
 
     Completions arrive in any order; fragments are stashed per copy key and
     flushed root-by-root as the frontier of covered roots advances — so the
-    merged pair stream is bit-identical to a serial static run no matter
-    which workers finished first, and only out-of-order shards are ever
-    buffered (in-order completions flush immediately).
+    merged pairs do not depend on which workers finished first, and only
+    out-of-order shards are ever buffered (in-order completions flush
+    immediately).  A root covered by its original shard emits exactly the
+    serial static run's pair stream; one covered by resplit halves emits
+    the same pairs in another order (see :meth:`ShardTask.split`).
 
     Each copy's :class:`~repro.core.kernels.KernelStats` is stashed with its
     fragments and merged into :attr:`stats` only if the copy is in its

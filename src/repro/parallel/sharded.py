@@ -42,7 +42,6 @@ from repro.core.batching import (
     estimate_probe_row_costs,
     split_by_cost,
 )
-from repro.core.gridindex import SubsetIndex
 from repro.core.kernels import DEFAULT_MAX_CANDIDATE_PAIRS, KernelStats
 from repro.core.result import PairFragments
 from repro.core.nativekernels import parse_kernel_spec
@@ -53,7 +52,12 @@ from repro.engine.backends import (
     register_backend,
     _probe_rows,
 )
-from repro.parallel.shards import ShardPlanner, default_worker_count, merge_fragments
+from repro.parallel.shards import (
+    ShardPlanner,
+    default_worker_count,
+    merge_fragments,
+    probe_store_shard,
+)
 from repro.utils.cancellation import check_cancelled
 
 
@@ -178,33 +182,3 @@ class ShardedBackend(ExecutionBackend):
             sink.emit(keys, values)
         return stats
 
-
-def probe_store_shard(source, lo: int, hi: int, eps: float,
-                      backend: ExecutionBackend,
-                      max_candidate_pairs: int = DEFAULT_MAX_CANDIDATE_PAIRS):
-    """Join the points of directory range ``[lo, hi)`` of a store, out of core.
-
-    The per-shard body of a streamed self-join, shared by
-    :meth:`ShardedBackend.run_selfjoin_streamed` and the distributed
-    workers: reads the owned cell range plus its ε-halo (a few contiguous
-    reads), builds a shard-local
-    :class:`~repro.core.gridindex.SubsetIndex` and probes the owned points
-    against it with ``backend``.  Returns ``(keys, values, stats)`` with
-    both pair sides in global (original) point ids.
-    """
-    owned_pts, owned_ids = source.read_cell_range(lo, hi)
-    halo_pts, halo_ids = source.read_cell_positions(
-        source.halo_positions(lo, hi, source.halo_radius(eps)))
-    if halo_pts.shape[0]:
-        local_pts = np.concatenate([owned_pts, halo_pts])
-        local_ids = np.concatenate([owned_ids, halo_ids])
-    else:
-        local_pts, local_ids = owned_pts, owned_ids
-    sub = SubsetIndex.build(local_pts, local_ids, eps)
-    local_sink = PairFragments(owned_pts.shape[0])
-    stats = backend.run_probe(owned_pts, sub.index, eps, local_sink,
-                              max_candidate_pairs=max_candidate_pairs)
-    keys, values = local_sink.concatenated()
-    # Owned points occupy local rows [0, n_owned), so their global ids come
-    # straight off the slice's id map.
-    return owned_ids[keys], sub.to_global(values), stats

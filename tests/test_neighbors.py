@@ -83,6 +83,31 @@ class TestOffsets:
         offsets = nb.all_neighbor_offsets(4)
         assert offsets.min() == -1 and offsets.max() == 1
 
+    @pytest.mark.parametrize("n_dims", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("include_home", [True, False])
+    def test_memoised_offsets_match_meshgrid(self, n_dims, include_home):
+        axes = [np.array([-1, 0, 1], dtype=np.int64)] * n_dims
+        grids = np.meshgrid(*axes, indexing="ij")
+        expected = np.stack([g.ravel() for g in grids], axis=1)
+        if not include_home:
+            expected = expected[np.any(expected != 0, axis=1)]
+        offsets = nb.all_neighbor_offsets(n_dims, include_home=include_home)
+        assert offsets.dtype == np.int64
+        assert np.array_equal(offsets, expected)
+
+    def test_memoised_offsets_are_shared_and_read_only(self):
+        offsets = nb.all_neighbor_offsets(3)
+        assert nb.all_neighbor_offsets(3) is offsets
+        assert nb.all_neighbor_offsets(np.int64(3), include_home=True) \
+            is offsets
+        assert nb.all_neighbor_offsets(3, include_home=False) is \
+            nb.all_neighbor_offsets(3, include_home=False)
+        assert not offsets.flags.writeable
+        assert not nb.all_neighbor_offsets(3, include_home=False) \
+            .flags.writeable
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 5
+
 
 class TestNeighborCellsForOffset:
     def test_zero_offset_maps_each_cell_to_itself(self, index_2d):
